@@ -35,7 +35,7 @@ import (
 
 func main() {
 	var (
-		scheme         = flag.String("scheme", "sds", "detection scheme: sds, sdsb, sdsp or kstest")
+		scheme         = flag.String("scheme", "sds", "detection scheme: sds, sdsb, sdsp, kstest, cusum, timefrag or ewmavar")
 		profileSeconds = flag.Float64("profile-seconds", 900, "leading stream seconds used as the Stage-1 profile")
 		appName        = flag.String("app", "monitored-vm", "application name for the profile")
 		jsonOut        = flag.Bool("json", false, "emit alarms as JSON lines")

@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"github.com/memdos/sds/internal/attack"
+	"github.com/memdos/sds/internal/detect"
 	"github.com/memdos/sds/internal/experiment"
 	"github.com/memdos/sds/internal/pcm"
 	"github.com/memdos/sds/internal/randx"
@@ -24,7 +25,7 @@ func main() {
 		attackAt = flag.Float64("at", 60, "attack start time in virtual seconds (0 disables)")
 		kindName = flag.String("attack", "buslock", "attack kind: buslock or cleanse")
 		duration = flag.Float64("duration", 180, "total virtual run time in seconds")
-		scheme   = flag.String("scheme", "sds", "detection scheme: sds, sdsb, sdsp or kstest")
+		scheme   = flag.String("scheme", "sds", "detection scheme: sds, sdsb, sdsp, kstest, cusum, timefrag or ewmavar")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
@@ -43,25 +44,16 @@ func run(app, kindName string, attackAt, duration float64, schemeName string, se
 	default:
 		return fmt.Errorf("unknown attack kind %q", kindName)
 	}
-	var scheme experiment.Scheme
-	switch schemeName {
-	case "sds":
-		scheme = experiment.SchemeSDS
-	case "sdsb":
-		scheme = experiment.SchemeSDSB
-	case "sdsp":
-		scheme = experiment.SchemeSDSP
-	case "kstest":
-		scheme = experiment.SchemeKSTest
-	default:
-		return fmt.Errorf("unknown scheme %q", schemeName)
+	scheme, err := detect.LookupScheme(schemeName)
+	if err != nil {
+		return err
 	}
 
 	cfg := experiment.DefaultConfig()
 	cfg.Seed = seed
 
 	fmt.Printf("profiling %s (Stage 1, %.0f s of attack-free telemetry)...\n", app, cfg.ProfileSeconds)
-	prof, det, flag, err := cfg.BuildDetector(app, scheme, seed)
+	prof, det, flag, err := cfg.BuildDetector(app, experiment.Scheme(scheme.Name), seed)
 	if err != nil {
 		return err
 	}

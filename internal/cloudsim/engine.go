@@ -26,6 +26,7 @@ func Run(sc Scenario) (Result, error) {
 // engine is the single-threaded discrete-event simulator state.
 type engine struct {
 	sc         Scenario
+	scheme     detect.Scheme // zero for Scheme "none"
 	cfg        detect.Config
 	tpcm       float64
 	horizon    int64 // run length in ticks (T_PCM intervals)
@@ -84,6 +85,12 @@ func newEngine(sc Scenario) (*engine, error) {
 	}
 
 	monitorScheme := sc.Scheme != "none"
+	if monitorScheme {
+		var err error
+		if e.scheme, err = detect.LookupScheme(sc.Scheme); err != nil {
+			return nil, err
+		}
+	}
 	e.hosts = make([]*host, sc.Hosts)
 	for i := range e.hosts {
 		e.hosts[i] = &host{id: i}
@@ -193,59 +200,21 @@ func (e *engine) newVM(id int, r role, app string, monitored bool) (*vm, error) 
 func (e *engine) attachDetector(v *vm) error {
 	v.det, v.wobs, v.counter, v.probe = nil, nil, nil, nil
 	v.ringPos, v.ringN, v.alarmsSeen = 0, 0, 0
-	switch e.sc.Scheme {
-	case "KStest":
-		d, err := detect.NewKSTest(e.sc.KSTest, &throttleFlag{})
-		if err != nil {
+	var prof detect.Profile
+	if !e.scheme.Raw {
+		var err error
+		if prof, err = e.profileFor(v.app); err != nil {
 			return err
 		}
-		v.det, v.counter, v.probe = d, d, d
-		return nil
 	}
-	prof, err := e.profileFor(v.app)
+	d, err := e.scheme.New(prof, e.cfg, e.sc.KSTest, nil)
 	if err != nil {
 		return err
 	}
-	switch e.sc.Scheme {
-	case "SDS":
-		d, err := detect.NewSDS(prof, e.cfg)
-		if err != nil {
-			return err
-		}
-		v.det, v.wobs, v.counter = d, d, d
-	case "SDS/B":
-		d, err := detect.NewSDSB(prof, e.cfg)
-		if err != nil {
-			return err
-		}
-		v.det, v.wobs, v.counter = d, d, d
-	case "SDS/P":
-		d, err := detect.NewSDSP(prof, e.cfg)
-		if err != nil {
-			return err
-		}
-		v.det, v.wobs, v.counter = d, d, d
-	case "CUSUM":
-		d, err := detect.NewCUSUM(prof, e.cfg)
-		if err != nil {
-			return err
-		}
-		v.det, v.wobs, v.counter = d, d, d
-	case "TimeFrag":
-		d, err := detect.NewTimeFrag(prof, e.cfg)
-		if err != nil {
-			return err
-		}
-		v.det, v.wobs, v.counter = d, d, d
-	case "EWMAVar":
-		d, err := detect.NewEWMAVar(prof, e.cfg)
-		if err != nil {
-			return err
-		}
-		v.det, v.wobs, v.counter = d, d, d
-	default:
-		return fmt.Errorf("cloudsim: no detector for scheme %q", e.sc.Scheme)
-	}
+	v.det = d
+	v.wobs, _ = d.(detect.WindowObserver)
+	v.counter, _ = d.(detect.AlarmCounter)
+	v.probe, _ = d.(collectProbe)
 	return nil
 }
 
@@ -256,7 +225,7 @@ func (e *engine) profileFor(app string) (detect.Profile, error) {
 	if p, ok := e.profiles[app]; ok {
 		return p, nil
 	}
-	p, err := stage1Profile(app, e.sc.Seed, e.sc.ProfileSeconds, e.cfg)
+	p, err := Stage1Profile(app, e.sc.Seed, e.sc.ProfileSeconds, e.cfg)
 	if err != nil {
 		return detect.Profile{}, err
 	}
@@ -264,9 +233,12 @@ func (e *engine) profileFor(app string) (detect.Profile, error) {
 	return p, nil
 }
 
-// stage1Profile runs the attack-free Stage-1 profiling pass for one
-// application, with the experiment harness's stream-labelling convention.
-func stage1Profile(app string, seed uint64, seconds float64, cfg detect.Config) (detect.Profile, error) {
+// Stage1Profile runs the attack-free Stage-1 profiling pass for one
+// application: seconds of telemetry from its model on the app+"/profile"
+// substream of seed, streamed into a detect.Profiler. The experiment
+// harness profiles through it too, so both planes build bit-identical
+// profiles from the same seed.
+func Stage1Profile(app string, seed uint64, seconds float64, cfg detect.Config) (detect.Profile, error) {
 	prof, err := workload.AppProfile(app)
 	if err != nil {
 		return detect.Profile{}, err
@@ -275,13 +247,16 @@ func stage1Profile(app string, seed uint64, seconds float64, cfg detect.Config) 
 	if err != nil {
 		return detect.Profile{}, err
 	}
+	p, err := detect.NewProfiler(app, cfg)
+	if err != nil {
+		return detect.Profile{}, err
+	}
 	n := pcm.SampleCount(seconds, cfg.TPCM)
-	samples := make([]pcm.Sample, n)
 	for i := 0; i < n; i++ {
 		a, m := model.Sample(cfg.TPCM, workload.Env{})
-		samples[i] = pcm.Sample{T: float64(i+1) * cfg.TPCM, Access: a, Miss: m}
+		p.Observe(pcm.Sample{T: float64(i+1) * cfg.TPCM, Access: a, Miss: m})
 	}
-	return detect.BuildProfile(app, samples, cfg)
+	return p.Profile()
 }
 
 // tickFor converts a virtual time to the event tick it lands on: rounded up

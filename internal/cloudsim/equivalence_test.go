@@ -97,9 +97,9 @@ func TestEngineReproducesLockstepSimulate(t *testing.T) {
 func newReferenceDetector(t *testing.T, scheme, app string, seed uint64, profileSeconds float64, cfg detect.Config) (detect.Detector, error) {
 	t.Helper()
 	if scheme == "KStest" {
-		return detect.NewKSTest(detect.DefaultKSTestConfig(), &throttleFlag{})
+		return detect.NewKSTest(detect.DefaultKSTestConfig(), nil)
 	}
-	prof, err := stage1Profile(app, seed, profileSeconds, cfg)
+	prof, err := Stage1Profile(app, seed, profileSeconds, cfg)
 	if err != nil {
 		return nil, err
 	}

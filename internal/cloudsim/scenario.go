@@ -86,9 +86,10 @@ type Scenario struct {
 	Fidelity string `json:"fidelity,omitempty"`
 	// Apps cycles over the initial VMs (default: all ten paper apps).
 	Apps []string `json:"apps,omitempty"`
-	// Scheme is the detection scheme of monitored VMs: "SDS", "SDS/B",
-	// "SDS/P", "CUSUM", "TimeFrag", "EWMAVar", "KStest" (exact fidelity
-	// only) or "none" (default "SDS").
+	// Scheme is the detection scheme of monitored VMs: any report name or
+	// alias detect.LookupScheme resolves ("SDS", "SDS/B", "SDS/P",
+	// "CUSUM", "TimeFrag", "EWMAVar", or "KStest" at exact fidelity only),
+	// or "none" (default "SDS").
 	Scheme string `json:"scheme,omitempty"`
 	// MonitorAll monitors every benign VM, not just each host's victim.
 	MonitorAll bool `json:"monitor_all,omitempty"`
@@ -233,11 +234,6 @@ func (s Scenario) validate() error {
 	default:
 		return fmt.Errorf("cloudsim: unknown fidelity %q", s.Fidelity)
 	}
-	switch s.Scheme {
-	case "SDS", "SDS/B", "SDS/P", "CUSUM", "TimeFrag", "EWMAVar", "KStest", "none":
-	default:
-		return fmt.Errorf("cloudsim: unknown scheme %q", s.Scheme)
-	}
 	switch s.Placement {
 	case PlaceLeastLoaded, PlaceRandom, PlaceFirstFit:
 	default:
@@ -259,16 +255,23 @@ func (s Scenario) validate() error {
 	if err := s.Detect.Validate(); err != nil {
 		return err
 	}
-	if s.Scheme == "KStest" {
-		if s.Fidelity != FidelityExact {
-			return fmt.Errorf("cloudsim: the KStest baseline consumes raw samples and needs %q fidelity", FidelityExact)
+	if s.Scheme == "none" {
+		if s.Mitigation.Policy != PolicyNone {
+			return fmt.Errorf("cloudsim: mitigation policy %q needs a detection scheme", s.Mitigation.Policy)
 		}
-		if err := s.KSTest.Validate(); err != nil {
-			return err
+	} else {
+		scheme, err := detect.LookupScheme(s.Scheme)
+		if err != nil {
+			return fmt.Errorf("cloudsim: %w", err)
 		}
-	}
-	if s.Mitigation.Policy != PolicyNone && s.Scheme == "none" {
-		return fmt.Errorf("cloudsim: mitigation policy %q needs a detection scheme", s.Mitigation.Policy)
+		if scheme.Raw {
+			if s.Fidelity != FidelityExact {
+				return fmt.Errorf("cloudsim: the %s baseline consumes raw samples and needs %q fidelity", scheme.Name, FidelityExact)
+			}
+			if err := s.KSTest.Validate(); err != nil {
+				return err
+			}
+		}
 	}
 	for _, app := range s.Apps {
 		if _, err := workload.AppProfile(app); err != nil {

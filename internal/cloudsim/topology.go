@@ -19,17 +19,8 @@ const (
 	roleAttacker
 )
 
-// throttleFlag adapts the KStest throttling callbacks; the engine reads the
-// detector's Collecting probe instead of the flag, matching Simulate.
-type throttleFlag struct{ paused bool }
-
-// PauseOthers implements detect.Throttler.
-func (f *throttleFlag) PauseOthers() { f.paused = true }
-
-// ResumeOthers implements detect.Throttler.
-func (f *throttleFlag) ResumeOthers() { f.paused = false }
-
-// collectProbe is the KStest reference-collection probe (see Simulate).
+// collectProbe is the KStest reference-collection probe (see Simulate): the
+// engine reads it instead of passing the detector a Throttler.
 type collectProbe interface{ Collecting() bool }
 
 // vm is one virtual machine. Telemetry state is only populated for

@@ -32,95 +32,32 @@ func observeAllocs(t *testing.T, d Detector, samples []pcm.Sample, warm int) flo
 	})
 }
 
-func TestSDSBObserveZeroAlloc(t *testing.T) {
-	prof := steadyProfile(t, workload.KMeans, 71)
-	d, err := NewSDSB(prof, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := genSamples(t, workload.KMeans, 72, 120, attack.Schedule{})
-	if allocs := observeAllocs(t, d, samples, len(samples)/2); allocs != 0 {
-		t.Fatalf("SDSB.Observe: %.2f allocs/op in steady state, want 0", allocs)
-	}
-}
-
-func TestSDSPObserveZeroAlloc(t *testing.T) {
-	prof := steadyProfile(t, workload.FaceNet, 73)
-	d, err := NewSDSP(prof, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 120 s of attack-free samples cover many ΔW_P estimation rounds, so
-	// the measured window includes full DFT–ACF estimates, not just ring
-	// pushes — those too must be allocation-free.
-	samples := genSamples(t, workload.FaceNet, 74, 120, attack.Schedule{})
-	if allocs := observeAllocs(t, d, samples, len(samples)/2); allocs != 0 {
-		t.Fatalf("SDSP.Observe: %.2f allocs/op in steady state (estimate rounds included), want 0", allocs)
-	}
-}
-
-func TestSDSObserveZeroAlloc(t *testing.T) {
+// TestObserveZeroAlloc covers every registered scheme on FaceNet, which is
+// periodic: SDS/P applies and SDS runs its SDS/P half, so the measured
+// window includes full DFT–ACF estimation rounds, not just ring pushes.
+// 120 s of attack-free samples also span EWMAVar's burn-in and
+// calibration, so its post-calibration violation tracking is measured too.
+func TestObserveZeroAlloc(t *testing.T) {
 	prof := steadyProfile(t, workload.FaceNet, 75)
-	d, err := NewSDS(prof, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := genSamples(t, workload.FaceNet, 76, 120, attack.Schedule{})
-	if allocs := observeAllocs(t, d, samples, len(samples)/2); allocs != 0 {
-		t.Fatalf("SDS.Observe: %.2f allocs/op in steady state, want 0", allocs)
-	}
-}
-
-func TestKSTestObserveSteadyStateZeroAlloc(t *testing.T) {
-	d, err := NewKSTest(DefaultKSTestConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := genSamples(t, workload.KMeans, 77, 29, attack.Schedule{})
-	// Warm past the first reference collection (W_R = 1 s) but stop before
-	// the next one at L_R = 30 s: the measured window then covers monitored
-	// ring pushes and KS checks only. Reference collection itself appends
-	// to a reusable buffer and is amortized (W_R/L_R of samples).
-	warm := len(samples) / 4
-	if allocs := observeAllocs(t, d, samples, warm); allocs != 0 {
-		t.Fatalf("KSTest.Observe: %.2f allocs/op in steady state (checks included), want 0", allocs)
-	}
-}
-
-func TestCUSUMObserveZeroAlloc(t *testing.T) {
-	prof := steadyProfile(t, workload.KMeans, 78)
-	d, err := NewCUSUM(prof, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := genSamples(t, workload.KMeans, 79, 120, attack.Schedule{})
-	if allocs := observeAllocs(t, d, samples, len(samples)/2); allocs != 0 {
-		t.Fatalf("CUSUM.Observe: %.2f allocs/op in steady state, want 0", allocs)
-	}
-}
-
-func TestTimeFragObserveZeroAlloc(t *testing.T) {
-	prof := steadyProfile(t, workload.KMeans, 80)
-	d, err := NewTimeFrag(prof, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := genSamples(t, workload.KMeans, 81, 120, attack.Schedule{})
-	if allocs := observeAllocs(t, d, samples, len(samples)/2); allocs != 0 {
-		t.Fatalf("TimeFrag.Observe: %.2f allocs/op in steady state, want 0", allocs)
-	}
-}
-
-func TestEWMAVarObserveZeroAlloc(t *testing.T) {
-	prof := steadyProfile(t, workload.KMeans, 82)
-	d, err := NewEWMAVar(prof, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 120 s spans burn-in, calibration and a long detection phase, so the
-	// measured window includes post-calibration violation tracking.
-	samples := genSamples(t, workload.KMeans, 83, 120, attack.Schedule{})
-	if allocs := observeAllocs(t, d, samples, len(samples)/2); allocs != 0 {
-		t.Fatalf("EWMAVar.Observe: %.2f allocs/op in steady state, want 0", allocs)
+	for _, s := range Schemes() {
+		t.Run(s.Name, func(t *testing.T) {
+			d, err := s.New(prof, DefaultConfig(), DefaultKSTestConfig(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seconds, warmDiv := 120.0, 2
+			if s.Raw {
+				// KStest: warm past the first reference collection
+				// (W_R = 1 s) but stop before the next one at L_R = 30 s,
+				// so the measured window covers monitored ring pushes and
+				// KS checks only. Reference collection itself appends to a
+				// reusable buffer and is amortized (W_R/L_R of samples).
+				seconds, warmDiv = 29, 4
+			}
+			samples := genSamples(t, workload.FaceNet, 76, seconds, attack.Schedule{})
+			if allocs := observeAllocs(t, d, samples, len(samples)/warmDiv); allocs != 0 {
+				t.Fatalf("%s.Observe: %.2f allocs/op in steady state, want 0", s.Name, allocs)
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/memdos/sds/internal/pcm"
-	"github.com/memdos/sds/internal/timeseries"
 )
 
 // CUSUM default knobs (Config.CusumK/CusumH zero values resolve to these;
@@ -47,15 +46,13 @@ type CUSUM struct {
 	muA, invSdA float64
 	muM, invSdM float64
 
-	maA, maM *timeseries.MovingAverager
-	ewA, ewM *timeseries.EWMA
+	pipeline
+	alarmLog
 
 	posA, negA float64
 	posM, negM float64
 
 	windows int
-	alarmed bool
-	alarms  []Alarm
 }
 
 var _ Detector = (*CUSUM)(nil)
@@ -65,19 +62,21 @@ var _ AlarmCounter = (*CUSUM)(nil)
 // NewCUSUM returns a CUSUM detector for an application with the given
 // Stage-1 profile.
 func NewCUSUM(prof Profile, cfg Config) (*CUSUM, error) {
-	if err := cfg.Validate(); err != nil {
+	pipe, err := newPipeline(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if prof.StdAccess < 0 || prof.StdMiss < 0 {
 		return nil, fmt.Errorf("detect: profile for %q has negative σ", prof.App)
 	}
 	d := &CUSUM{
-		cfg:   cfg,
-		prof:  prof,
-		slack: cfg.CusumK,
-		h:     cfg.CusumH,
-		muA:   prof.MeanAccess,
-		muM:   prof.MeanMiss,
+		pipeline: pipe,
+		cfg:      cfg,
+		prof:     prof,
+		slack:    cfg.CusumK,
+		h:        cfg.CusumH,
+		muA:      prof.MeanAccess,
+		muM:      prof.MeanMiss,
 	}
 	if d.slack == 0 {
 		d.slack = cfg.K
@@ -88,19 +87,6 @@ func NewCUSUM(prof Profile, cfg Config) (*CUSUM, error) {
 	d.bound = cusumCapMult * d.h
 	d.invSdA = invStd(prof.StdAccess)
 	d.invSdM = invStd(prof.StdMiss)
-	var err error
-	if d.maA, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.maM, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.ewA, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
-		return nil, err
-	}
-	if d.ewM, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
-		return nil, err
-	}
 	return d, nil
 }
 
@@ -127,21 +113,18 @@ func (d *CUSUM) Interval() float64 { return d.h }
 
 // Observe implements Detector.
 func (d *CUSUM) Observe(s pcm.Sample) {
-	mA, okA := d.maA.Push(s.Access)
-	mM, okM := d.maM.Push(s.Miss)
-	if !okA && !okM {
-		return
+	if mA, mM, ok := d.push(s); ok {
+		d.ObserveMA(s.T, mA, mM)
 	}
-	// Both averagers share the same geometry, so they emit together.
-	d.ObserveMA(s.T, mA, mM)
 }
 
 // ObserveMA feeds one window-level observation — the moving averages M_n of
 // the two counters at virtual time t — directly into the post-MA pipeline.
 // Feed a detector through either Observe or ObserveMA, never both.
 func (d *CUSUM) ObserveMA(t float64, mA, mM float64) {
-	zA := (d.ewA.Push(mA) - d.muA) * d.invSdA
-	zM := (d.ewM.Push(mM) - d.muM) * d.invSdM
+	eA, eM := d.smooth(mA, mM)
+	zA := (eA - d.muA) * d.invSdA
+	zM := (eM - d.muM) * d.invSdM
 	d.windows++
 
 	d.posA = cusumStep(d.posA, zA-d.slack, d.bound)
@@ -149,8 +132,7 @@ func (d *CUSUM) ObserveMA(t float64, mA, mM float64) {
 	d.posM = cusumStep(d.posM, zM-d.slack, d.bound)
 	d.negM = cusumStep(d.negM, -zM-d.slack, d.bound)
 
-	nowAlarmed := d.posA >= d.h || d.negA >= d.h || d.posM >= d.h || d.negM >= d.h
-	if nowAlarmed && !d.alarmed {
+	if d.rise(d.posA >= d.h || d.negA >= d.h || d.posM >= d.h || d.negM >= d.h) {
 		metric, stat, dir := MetricAccess, d.negA, "drop"
 		switch {
 		case d.posM >= d.h || d.negM >= d.h:
@@ -169,7 +151,6 @@ func (d *CUSUM) ObserveMA(t float64, mA, mM float64) {
 				metric, dir, stat, d.h, d.slack),
 		})
 	}
-	d.alarmed = nowAlarmed
 }
 
 // cusumStep advances one one-sided statistic: accumulate the slack-adjusted
@@ -190,12 +171,3 @@ func cusumStep(c, dz, bound float64) float64 {
 func (d *CUSUM) Statistics() (posA, negA, posM, negM float64) {
 	return d.posA, d.negA, d.posM, d.negM
 }
-
-// Alarmed implements Detector.
-func (d *CUSUM) Alarmed() bool { return d.alarmed }
-
-// AlarmCount implements AlarmCounter.
-func (d *CUSUM) AlarmCount() int { return len(d.alarms) }
-
-// Alarms implements Detector.
-func (d *CUSUM) Alarms() []Alarm { return cloneAlarms(d.alarms) }

@@ -200,19 +200,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// cloneAlarms is the defensive copy every Alarms() implementation returns.
-// The contract is uniform across the detector zoo: the returned slice is the
-// caller's to keep, append to, or mutate — it must never alias the
-// detector's internal history, or a caller that retains it would observe
-// later rising edges appearing in (or racing with) a slice it believes is a
-// point-in-time snapshot. TestAlarmsNoAliasing enforces this for every
-// registered scheme.
-func cloneAlarms(alarms []Alarm) []Alarm {
-	out := make([]Alarm, len(alarms))
-	copy(out, alarms)
-	return out
-}
-
 // WindowStat is one preprocessed observation emitted by the SDS pipeline
 // at each moving-average window boundary, exposed to hooks for tracing and
 // figure generation.

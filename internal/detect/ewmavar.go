@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/memdos/sds/internal/pcm"
-	"github.com/memdos/sds/internal/timeseries"
 )
 
 // EWMAVar default knobs (Config.VarBeta/VarCalib/VarH zero values resolve to
@@ -62,8 +61,8 @@ type EWMAVar struct {
 	calibN int
 	varH   int
 
-	maA, maM *timeseries.MovingAverager
-	ewA, ewM *timeseries.EWMA
+	pipeline
+	alarmLog
 
 	prevA, prevM float64 // S_{n−1}, the smoothed means before this window
 	vA, vM       float64
@@ -81,8 +80,6 @@ type EWMAVar struct {
 	consec     int
 	windows    int // detection-phase windows observed
 	violations int // detection-phase windows with v outside the normal range
-	alarmed    bool
-	alarms     []Alarm
 }
 
 var _ Detector = (*EWMAVar)(nil)
@@ -94,16 +91,18 @@ var _ AlarmCounter = (*EWMAVar)(nil)
 // variance baseline from the first VarCalib windows of live traffic, so it
 // needs no offline variance profile.
 func NewEWMAVar(prof Profile, cfg Config) (*EWMAVar, error) {
-	if err := cfg.Validate(); err != nil {
+	pipe, err := newPipeline(cfg)
+	if err != nil {
 		return nil, err
 	}
 	d := &EWMAVar{
-		cfg:    cfg,
-		prof:   prof,
-		k:      cfg.K,
-		beta:   cfg.VarBeta,
-		calibN: cfg.VarCalib,
-		varH:   cfg.VarH,
+		pipeline: pipe,
+		cfg:      cfg,
+		prof:     prof,
+		k:        cfg.K,
+		beta:     cfg.VarBeta,
+		calibN:   cfg.VarCalib,
+		varH:     cfg.VarH,
 	}
 	if d.beta == 0 {
 		d.beta = defaultVarBeta
@@ -115,19 +114,6 @@ func NewEWMAVar(prof Profile, cfg Config) (*EWMAVar, error) {
 		d.varH = defaultVarH
 	}
 	d.burnLeft = int(varBurnInFactor / d.beta)
-	var err error
-	if d.maA, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.maM, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.ewA, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
-		return nil, err
-	}
-	if d.ewM, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
-		return nil, err
-	}
 	return d, nil
 }
 
@@ -143,13 +129,9 @@ func (d *EWMAVar) Calibrated() bool { return d.calibrated }
 
 // Observe implements Detector.
 func (d *EWMAVar) Observe(s pcm.Sample) {
-	mA, okA := d.maA.Push(s.Access)
-	mM, okM := d.maM.Push(s.Miss)
-	if !okA && !okM {
-		return
+	if mA, mM, ok := d.push(s); ok {
+		d.ObserveMA(s.T, mA, mM)
 	}
-	// Both averagers share the same geometry, so they emit together.
-	d.ObserveMA(s.T, mA, mM)
 }
 
 // ObserveMA feeds one window-level observation — the moving averages M_n of
@@ -159,16 +141,14 @@ func (d *EWMAVar) ObserveMA(t float64, mA, mM float64) {
 	if !d.started {
 		// First window seeds the smoothed means; no deviation to square yet.
 		d.started = true
-		d.prevA = d.ewA.Push(mA)
-		d.prevM = d.ewM.Push(mM)
+		d.prevA, d.prevM = d.smooth(mA, mM)
 		return
 	}
 	devA := mA - d.prevA
 	devM := mM - d.prevM
 	d.vA = (1-d.beta)*d.vA + d.beta*devA*devA
 	d.vM = (1-d.beta)*d.vM + d.beta*devM*devM
-	d.prevA = d.ewA.Push(mA)
-	d.prevM = d.ewM.Push(mM)
+	d.prevA, d.prevM = d.smooth(mA, mM)
 
 	if !d.calibrated {
 		if d.burnLeft > 0 {
@@ -192,8 +172,7 @@ func (d *EWMAVar) ObserveMA(t float64, mA, mM float64) {
 	} else {
 		d.consec = 0
 	}
-	nowAlarmed := d.consec >= d.varH
-	if nowAlarmed && !d.alarmed {
+	if d.rise(d.consec >= d.varH) {
 		metric, v, lo, hi := MetricAccess, d.vA, d.loVA, d.hiVA
 		if d.vM < d.loVM || d.vM > d.hiVM {
 			metric, v, lo, hi = MetricMiss, d.vM, d.loVM, d.hiVM
@@ -206,7 +185,6 @@ func (d *EWMAVar) ObserveMA(t float64, mA, mM float64) {
 				metric, v, lo, hi, d.consec),
 		})
 	}
-	d.alarmed = nowAlarmed
 }
 
 // welfordStep advances one running mean/M2 pair with the n-th value.
@@ -258,12 +236,3 @@ func (d *EWMAVar) VarianceBounds() (loA, hiA, loM, hiM float64, ok bool) {
 func (d *EWMAVar) ViolationStats() (windows, violations int) {
 	return d.windows, d.violations
 }
-
-// Alarmed implements Detector.
-func (d *EWMAVar) Alarmed() bool { return d.alarmed }
-
-// AlarmCount implements AlarmCounter.
-func (d *EWMAVar) AlarmCount() int { return len(d.alarms) }
-
-// Alarms implements Detector.
-func (d *EWMAVar) Alarms() []Alarm { return cloneAlarms(d.alarms) }

@@ -130,11 +130,10 @@ type KSTest struct {
 	nextRef     float64
 	nextCheck   float64
 
-	consec    int
-	streaks   int // Consecutive-length rejection streaks since last refresh
-	deferred  bool
-	alarmed   bool
-	alarms    []Alarm
+	consec   int
+	streaks  int // Consecutive-length rejection streaks since last refresh
+	deferred bool
+	alarmLog
 	checkHook func(CheckStat)
 }
 
@@ -280,8 +279,7 @@ func (d *KSTest) check(t float64) {
 	} else {
 		d.consec = 0
 	}
-	nowAlarmed := d.streaks >= d.cfg.ConfirmStreaks
-	if nowAlarmed && !d.alarmed {
+	if d.rise(d.streaks >= d.cfg.ConfirmStreaks) {
 		d.alarms = append(d.alarms, Alarm{
 			T:        t,
 			Detector: d.Name(),
@@ -290,7 +288,6 @@ func (d *KSTest) check(t float64) {
 				dA, dM, d.streaks),
 		})
 	}
-	d.alarmed = nowAlarmed
 }
 
 // ringSnapshotInto linearizes the ring (oldest first) into the caller's
@@ -300,15 +297,6 @@ func (d *KSTest) ringSnapshotInto(out, ring []float64) []float64 {
 	copy(out[len(ring)-d.winPos:], ring[:d.winPos])
 	return out
 }
-
-// Alarmed implements Detector.
-func (d *KSTest) Alarmed() bool { return d.alarmed }
-
-// AlarmCount implements AlarmCounter.
-func (d *KSTest) AlarmCount() int { return len(d.alarms) }
-
-// Alarms implements Detector.
-func (d *KSTest) Alarms() []Alarm { return cloneAlarms(d.alarms) }
 
 // Collecting reports whether the detector is currently collecting reference
 // samples (i.e. other VMs are throttled).

@@ -48,51 +48,75 @@ func (p Profile) Bounds(metric Metric, k float64) (lo, hi float64, err error) {
 // BuildProfile computes a Profile from attack-free PCM samples using the
 // pipeline of §4.1 (MA with window W and step ΔW, then EWMA with factor α).
 // It needs enough samples for a statistically useful number of MA windows.
+// It is the batch form of Profiler.
 func BuildProfile(app string, samples []pcm.Sample, cfg Config) (Profile, error) {
-	if err := cfg.Validate(); err != nil {
+	p, err := NewProfiler(app, cfg)
+	if err != nil {
 		return Profile{}, err
 	}
+	for _, s := range samples {
+		p.Observe(s)
+	}
+	return p.Profile()
+}
+
+// Profiler builds a Stage-1 Profile from a stream of attack-free samples.
+// It runs each sample through the same MA→EWMA pipeline the detectors use
+// and keeps only the per-window values the profile is computed from — the
+// AccessNum moving averages (for the periodicity check) and both EWMA
+// series (for μ_E and σ_E) — so its memory is W/ΔW times smaller than the
+// raw window's.
+type Profiler struct {
+	app string
+	cfg Config
+	pipeline
+
+	samples int
+	// The per-window series: AccessNum M_n and S_n of both counters.
+	seriesMA, seriesEA, seriesEM []float64
+}
+
+// NewProfiler returns an empty profiler for app.
+func NewProfiler(app string, cfg Config) (*Profiler, error) {
+	pipe, err := newPipeline(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Profiler{app: app, cfg: cfg, pipeline: pipe}, nil
+}
+
+// Observe feeds the next Stage-1 sample.
+func (p *Profiler) Observe(s pcm.Sample) {
+	p.samples++
+	mA, mM, ok := p.push(s)
+	if !ok {
+		return
+	}
+	eA, eM := p.smooth(mA, mM)
+	p.seriesMA = append(p.seriesMA, mA)
+	p.seriesEA = append(p.seriesEA, eA)
+	p.seriesEM = append(p.seriesEM, eM)
+}
+
+// Profile computes the profile of the samples observed so far. It fails
+// when they span fewer than a statistically useful number of MA windows.
+func (p *Profiler) Profile() (Profile, error) {
 	const minWindows = 20
-	need := cfg.W + (minWindows-1)*cfg.DW
-	if len(samples) < need {
+	if len(p.seriesMA) < minWindows {
 		return Profile{}, fmt.Errorf("detect: profiling %q needs at least %d samples (%d MA windows), got %d",
-			app, need, minWindows, len(samples))
+			p.app, p.cfg.W+(minWindows-1)*p.cfg.DW, minWindows, p.samples)
 	}
-
-	rawA := make([]float64, len(samples))
-	rawM := make([]float64, len(samples))
-	for i, s := range samples {
-		rawA[i] = s.Access
-		rawM[i] = s.Miss
-	}
-	maA, err := timeseries.MovingAverage(rawA, cfg.W, cfg.DW)
-	if err != nil {
-		return Profile{}, err
-	}
-	maM, err := timeseries.MovingAverage(rawM, cfg.W, cfg.DW)
-	if err != nil {
-		return Profile{}, err
-	}
-	ewA, err := timeseries.EWMASeries(maA, cfg.Alpha)
-	if err != nil {
-		return Profile{}, err
-	}
-	ewM, err := timeseries.EWMASeries(maM, cfg.Alpha)
-	if err != nil {
-		return Profile{}, err
-	}
-
 	prof := Profile{
-		App:        app,
-		Windows:    len(maA),
-		MeanAccess: timeseries.Mean(ewA),
-		StdAccess:  timeseries.StdDev(ewA),
-		MeanMiss:   timeseries.Mean(ewM),
-		StdMiss:    timeseries.StdDev(ewM),
+		App:        p.app,
+		Windows:    len(p.seriesMA),
+		MeanAccess: timeseries.Mean(p.seriesEA),
+		StdAccess:  timeseries.StdDev(p.seriesEA),
+		MeanMiss:   timeseries.Mean(p.seriesEM),
+		StdMiss:    timeseries.StdDev(p.seriesEM),
 	}
 	// Stage-1 periodicity check on the MA series (EWMA may smooth the
 	// pattern away, §4.2.2 computes periods over MA).
-	if period, ok := signal.IsPeriodic(maA, cfg.PeriodTolerance, periodOptions(cfg, 0)); ok {
+	if period, ok := signal.IsPeriodic(p.seriesMA, p.cfg.PeriodTolerance, periodOptions(p.cfg, 0)); ok {
 		prof.Periodic = true
 		prof.PeriodMA = period
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/memdos/sds/internal/pcm"
-	"github.com/memdos/sds/internal/timeseries"
 )
 
 // SDS is the combined Statistical-based Detection System of §5.1: for
@@ -16,19 +15,7 @@ type SDS struct {
 	b *SDSB
 	p *SDSP // nil for non-periodic applications
 
-	// The combined detector drives one moving-average pair and feeds both
-	// sub-detectors' post-MA pipelines from it: SDS/B and SDS/P use the
-	// same (W, ΔW) geometry, so running their averagers separately would
-	// push every raw sample through four identical ring buffers instead
-	// of two. MA preprocessing is the hottest per-sample work in the
-	// ingest plane, so the dedup halves the dominant term. The pair is
-	// borrowed from the embedded SDS/B (idle there, since SDS never calls
-	// the sub-detectors' raw Observe) to keep construction allocation-free
-	// relative to the un-deduplicated layout.
-	maA, maM *timeseries.MovingAverager
-
-	alarmed bool
-	alarms  []Alarm
+	alarmLog
 }
 
 var _ Detector = (*SDS)(nil)
@@ -48,7 +35,6 @@ func NewSDS(prof Profile, cfg Config) (*SDS, error) {
 		}
 		d.p = p
 	}
-	d.maA, d.maM = b.maA, b.maM
 	return d, nil
 }
 
@@ -62,19 +48,17 @@ func (d *SDS) Boundary() *SDSB { return d.b }
 // applications.
 func (d *SDS) Periodic() *SDSP { return d.p }
 
-// Observe implements Detector. Raw samples run through the shared MA pair
-// once; window boundaries fan out to both sub-detectors' ObserveMA. The
-// sub-detectors only change alarm state at window boundaries, so skipping
-// update between emissions is observationally identical to updating per
-// sample.
+// Observe implements Detector. SDS/B and SDS/P share the (W, ΔW)
+// geometry, so raw samples run once through SDS/B's moving-average pair
+// (SDS never calls the sub-detectors' raw Observe) and window boundaries
+// fan out to both sub-detectors' ObserveMA: two ring pushes per sample
+// instead of four on the ingest plane's hottest path. The sub-detectors
+// only change alarm state at window boundaries, so skipping update between
+// emissions is observationally identical to updating per sample.
 func (d *SDS) Observe(s pcm.Sample) {
-	mA, okA := d.maA.Push(s.Access)
-	mM, _ := d.maM.Push(s.Miss)
-	if !okA {
-		// Both averagers share their geometry and emit together.
-		return
+	if mA, mM, ok := d.b.push(s); ok {
+		d.ObserveMA(s.T, mA, mM)
 	}
-	d.ObserveMA(s.T, mA, mM)
 }
 
 // ObserveMA feeds one window-level observation into both sub-detectors'
@@ -95,7 +79,7 @@ func (d *SDS) update(t float64) {
 	if d.p != nil {
 		nowAlarmed = nowAlarmed && d.p.Alarmed()
 	}
-	if nowAlarmed && !d.alarmed {
+	if d.rise(nowAlarmed) {
 		metric := MetricAccess
 		reason := "SDS/B boundary violation"
 		if n := len(d.b.alarms); n > 0 {
@@ -107,14 +91,4 @@ func (d *SDS) update(t float64) {
 		}
 		d.alarms = append(d.alarms, Alarm{T: t, Detector: d.Name(), Metric: metric, Reason: reason})
 	}
-	d.alarmed = nowAlarmed
 }
-
-// Alarmed implements Detector.
-func (d *SDS) Alarmed() bool { return d.alarmed }
-
-// AlarmCount implements AlarmCounter.
-func (d *SDS) AlarmCount() int { return len(d.alarms) }
-
-// Alarms implements Detector.
-func (d *SDS) Alarms() []Alarm { return cloneAlarms(d.alarms) }

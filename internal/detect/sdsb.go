@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/memdos/sds/internal/pcm"
-	"github.com/memdos/sds/internal/timeseries"
 )
 
 // SDSB is the Boundary-based Statistical Detection Scheme (paper §4.2.1).
@@ -19,14 +18,12 @@ type SDSB struct {
 	loA, hiA float64
 	loM, hiM float64
 
-	maA, maM *timeseries.MovingAverager
-	ewA, ewM *timeseries.EWMA
+	pipeline
+	alarmLog
 
 	windows    int
 	violA      int
 	violM      int
-	alarmed    bool
-	alarms     []Alarm
 	windowHook func(WindowStat)
 }
 
@@ -49,30 +46,18 @@ func WithSDSBWindowHook(hook func(WindowStat)) SDSBOption {
 // NewSDSB returns an SDS/B detector for an application with the given
 // Stage-1 profile.
 func NewSDSB(prof Profile, cfg Config, opts ...SDSBOption) (*SDSB, error) {
-	if err := cfg.Validate(); err != nil {
+	pipe, err := newPipeline(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if prof.StdAccess < 0 || prof.StdMiss < 0 {
 		return nil, fmt.Errorf("detect: profile for %q has negative σ", prof.App)
 	}
-	d := &SDSB{cfg: cfg, prof: prof}
-	var err error
+	d := &SDSB{pipeline: pipe, cfg: cfg, prof: prof}
 	if d.loA, d.hiA, err = prof.Bounds(MetricAccess, cfg.K); err != nil {
 		return nil, err
 	}
 	if d.loM, d.hiM, err = prof.Bounds(MetricMiss, cfg.K); err != nil {
-		return nil, err
-	}
-	if d.maA, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.maM, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.ewA, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
-		return nil, err
-	}
-	if d.ewM, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
 		return nil, err
 	}
 	for _, o := range opts {
@@ -89,13 +74,9 @@ func (d *SDSB) Profile() Profile { return d.prof }
 
 // Observe implements Detector.
 func (d *SDSB) Observe(s pcm.Sample) {
-	mA, okA := d.maA.Push(s.Access)
-	mM, okM := d.maM.Push(s.Miss)
-	if !okA && !okM {
-		return
+	if mA, mM, ok := d.push(s); ok {
+		d.ObserveMA(s.T, mA, mM)
 	}
-	// Both averagers share the same geometry, so they emit together.
-	d.ObserveMA(s.T, mA, mM)
 }
 
 // ObserveMA feeds one window-level observation — the moving averages M_n of
@@ -105,8 +86,7 @@ func (d *SDSB) Observe(s pcm.Sample) {
 // in closed-form ΔW-sample blocks instead of raw samples. Feed a detector
 // through either Observe or ObserveMA, never both.
 func (d *SDSB) ObserveMA(t float64, mA, mM float64) {
-	eA := d.ewA.Push(mA)
-	eM := d.ewM.Push(mM)
+	eA, eM := d.smooth(mA, mM)
 	d.windows++
 
 	if d.windowHook != nil {
@@ -124,8 +104,7 @@ func (d *SDSB) ObserveMA(t float64, mA, mM float64) {
 	d.violA = nextViolationCount(d.violA, eA < d.loA || eA > d.hiA)
 	d.violM = nextViolationCount(d.violM, eM < d.loM || eM > d.hiM)
 
-	nowAlarmed := d.violA >= d.cfg.HC || d.violM >= d.cfg.HC
-	if nowAlarmed && !d.alarmed {
+	if d.rise(d.violA >= d.cfg.HC || d.violM >= d.cfg.HC) {
 		metric, reason := MetricAccess, violationReason("AccessNum", eA, d.loA, d.hiA)
 		if d.violM >= d.cfg.HC {
 			metric, reason = MetricMiss, violationReason("MissNum", eM, d.loM, d.hiM)
@@ -137,17 +116,7 @@ func (d *SDSB) ObserveMA(t float64, mA, mM float64) {
 			Reason:   reason,
 		})
 	}
-	d.alarmed = nowAlarmed
 }
-
-// Alarmed implements Detector.
-func (d *SDSB) Alarmed() bool { return d.alarmed }
-
-// AlarmCount implements AlarmCounter.
-func (d *SDSB) AlarmCount() int { return len(d.alarms) }
-
-// Alarms implements Detector.
-func (d *SDSB) Alarms() []Alarm { return cloneAlarms(d.alarms) }
 
 // Violations returns the current consecutive-violation counts for the two
 // counters (diagnostics and tests).

@@ -5,7 +5,6 @@ import (
 
 	"github.com/memdos/sds/internal/pcm"
 	"github.com/memdos/sds/internal/signal"
-	"github.com/memdos/sds/internal/timeseries"
 )
 
 // SDSP is the Period-based Statistical Detection Scheme for periodic
@@ -23,7 +22,9 @@ type SDSP struct {
 	cfg  Config
 	prof Profile
 
-	maA, maM   *timeseries.MovingAverager
+	// SDS/P estimates periods on the moving averages M_n, so it uses only
+	// the pipeline's MA pair.
+	pipeline
 	bufA, bufM []float64 // rings of the latest W_P MA values
 	wp         int
 	pos        int
@@ -39,9 +40,8 @@ type SDSP struct {
 
 	sinceEstimate int
 	devCount      int
-	alarmed       bool
-	alarms        []Alarm
-	estimateHook  func(PeriodStat)
+	alarmLog
+	estimateHook func(PeriodStat)
 }
 
 var _ Detector = (*SDSP)(nil)
@@ -77,23 +77,18 @@ func WithSDSPEstimateHook(hook func(PeriodStat)) SDSPOption {
 // NewSDSP returns an SDS/P detector. The profile must be periodic: SDS/P is
 // only applicable to applications with repeating cache-access patterns.
 func NewSDSP(prof Profile, cfg Config, opts ...SDSPOption) (*SDSP, error) {
-	if err := cfg.Validate(); err != nil {
+	pipe, err := newPipeline(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if !prof.Periodic || prof.PeriodMA < 2 {
 		return nil, fmt.Errorf("detect: SDS/P requires a periodic profile, %q has none", prof.App)
 	}
 	d := &SDSP{
-		cfg:  cfg,
-		prof: prof,
-		wp:   cfg.WPFactor * prof.PeriodMA,
-	}
-	var err error
-	if d.maA, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.maM, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
+		pipeline: pipe,
+		cfg:      cfg,
+		prof:     prof,
+		wp:       cfg.WPFactor * prof.PeriodMA,
 	}
 	d.bufA = make([]float64, 0, d.wp)
 	d.bufM = make([]float64, 0, d.wp)
@@ -114,13 +109,9 @@ func (d *SDSP) WP() int { return d.wp }
 
 // Observe implements Detector.
 func (d *SDSP) Observe(s pcm.Sample) {
-	mA, okA := d.maA.Push(s.Access)
-	mM, _ := d.maM.Push(s.Miss)
-	if !okA {
-		// The two averagers share their geometry and emit together.
-		return
+	if mA, mM, ok := d.push(s); ok {
+		d.ObserveMA(s.T, mA, mM)
 	}
-	d.ObserveMA(s.T, mA, mM)
 }
 
 // ObserveMA feeds one window-level observation — the moving averages M_n of
@@ -163,8 +154,7 @@ func (d *SDSP) estimate(t float64) {
 	} else {
 		d.devCount = 0
 	}
-	nowAlarmed := d.devCount >= d.cfg.HP
-	if nowAlarmed && !d.alarmed {
+	if d.rise(d.devCount >= d.cfg.HP) {
 		metric, est := MetricAccess, estA
 		if devM && !devA {
 			metric, est = MetricMiss, estM
@@ -177,7 +167,6 @@ func (d *SDSP) estimate(t float64) {
 		}
 		d.alarms = append(d.alarms, Alarm{T: t, Detector: d.Name(), Metric: MetricPeriod, Reason: reason})
 	}
-	d.alarmed = nowAlarmed
 }
 
 // estimateMetric analyses one counter's window, fires the hook, and reports
@@ -199,15 +188,6 @@ func (d *SDSP) estimateMetric(t float64, metric Metric, ring []float64) (signal.
 	}
 	return est, deviant
 }
-
-// Alarmed implements Detector.
-func (d *SDSP) Alarmed() bool { return d.alarmed }
-
-// AlarmCount implements AlarmCounter.
-func (d *SDSP) AlarmCount() int { return len(d.alarms) }
-
-// Alarms implements Detector.
-func (d *SDSP) Alarms() []Alarm { return cloneAlarms(d.alarms) }
 
 // Deviations returns the current consecutive-deviation count (diagnostics).
 func (d *SDSP) Deviations() int { return d.devCount }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/memdos/sds/internal/pcm"
-	"github.com/memdos/sds/internal/timeseries"
 )
 
 // TimeFrag default knobs (Config.FragWindow/FragFrac zero values resolve to
@@ -36,8 +35,8 @@ type TimeFrag struct {
 	loA, hiA float64
 	loM, hiM float64
 
-	maA, maM *timeseries.MovingAverager
-	ewA, ewM *timeseries.EWMA
+	pipeline
+	alarmLog
 
 	ring    []bool // suspicion verdicts of the last len(ring) windows
 	pos     int
@@ -45,9 +44,6 @@ type TimeFrag struct {
 	count   int // suspicious windows currently inside the ring
 	need    int // alarm threshold ⌈FragFrac·FragWindow⌉
 	windows int
-
-	alarmed bool
-	alarms  []Alarm
 }
 
 var _ Detector = (*TimeFrag)(nil)
@@ -57,7 +53,8 @@ var _ AlarmCounter = (*TimeFrag)(nil)
 // NewTimeFrag returns a TimeFrag detector for an application with the given
 // Stage-1 profile.
 func NewTimeFrag(prof Profile, cfg Config) (*TimeFrag, error) {
-	if err := cfg.Validate(); err != nil {
+	pipe, err := newPipeline(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if prof.StdAccess < 0 || prof.StdMiss < 0 {
@@ -79,28 +76,16 @@ func NewTimeFrag(prof Profile, cfg Config) (*TimeFrag, error) {
 		need = window
 	}
 	d := &TimeFrag{
-		cfg:  cfg,
-		prof: prof,
-		ring: make([]bool, window),
-		need: need,
+		pipeline: pipe,
+		cfg:      cfg,
+		prof:     prof,
+		ring:     make([]bool, window),
+		need:     need,
 	}
-	var err error
 	if d.loA, d.hiA, err = prof.Bounds(MetricAccess, cfg.K); err != nil {
 		return nil, err
 	}
 	if d.loM, d.hiM, err = prof.Bounds(MetricMiss, cfg.K); err != nil {
-		return nil, err
-	}
-	if d.maA, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.maM, err = timeseries.NewMovingAverager(cfg.W, cfg.DW); err != nil {
-		return nil, err
-	}
-	if d.ewA, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
-		return nil, err
-	}
-	if d.ewM, err = timeseries.NewEWMA(cfg.Alpha); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -119,21 +104,16 @@ func (d *TimeFrag) Need() int   { return d.need }
 
 // Observe implements Detector.
 func (d *TimeFrag) Observe(s pcm.Sample) {
-	mA, okA := d.maA.Push(s.Access)
-	mM, okM := d.maM.Push(s.Miss)
-	if !okA && !okM {
-		return
+	if mA, mM, ok := d.push(s); ok {
+		d.ObserveMA(s.T, mA, mM)
 	}
-	// Both averagers share the same geometry, so they emit together.
-	d.ObserveMA(s.T, mA, mM)
 }
 
 // ObserveMA feeds one window-level observation — the moving averages M_n of
 // the two counters at virtual time t — directly into the post-MA pipeline.
 // Feed a detector through either Observe or ObserveMA, never both.
 func (d *TimeFrag) ObserveMA(t float64, mA, mM float64) {
-	eA := d.ewA.Push(mA)
-	eM := d.ewM.Push(mM)
+	eA, eM := d.smooth(mA, mM)
 	d.windows++
 
 	suspicious := eA < d.loA || eA > d.hiA || eM < d.loM || eM > d.hiM
@@ -153,8 +133,7 @@ func (d *TimeFrag) ObserveMA(t float64, mA, mM float64) {
 		d.pos = 0
 	}
 
-	nowAlarmed := d.count >= d.need
-	if nowAlarmed && !d.alarmed {
+	if d.rise(d.count >= d.need) {
 		metric := MetricAccess
 		if eM < d.loM || eM > d.hiM {
 			metric = MetricMiss
@@ -167,18 +146,8 @@ func (d *TimeFrag) ObserveMA(t float64, mA, mM float64) {
 				d.count, len(d.ring), d.need),
 		})
 	}
-	d.alarmed = nowAlarmed
 }
 
 // Suspicious returns the number of suspicious windows currently inside the
 // evaluation span (diagnostics and tests).
 func (d *TimeFrag) Suspicious() int { return d.count }
-
-// Alarmed implements Detector.
-func (d *TimeFrag) Alarmed() bool { return d.alarmed }
-
-// AlarmCount implements AlarmCounter.
-func (d *TimeFrag) AlarmCount() int { return len(d.alarms) }
-
-// Alarms implements Detector.
-func (d *TimeFrag) Alarms() []Alarm { return cloneAlarms(d.alarms) }

@@ -202,6 +202,9 @@ func TestEWMAVarQuietOnStationaryTraffic(t *testing.T) {
 	}
 }
 
+// log exposes a scheme's embedded alarm history to TestAlarmsNoAliasing.
+func (l *alarmLog) log() *alarmLog { return l }
+
 // TestAlarmsNoAliasing pins the Alarms() contract for every registered
 // scheme: the returned slice is the caller's to keep, so mutating it — or
 // alarms firing afterwards — must not corrupt either side. The test writes
@@ -212,72 +215,32 @@ func TestAlarmsNoAliasing(t *testing.T) {
 	cfg := DefaultConfig()
 	injected := Alarm{T: 1, Detector: "test", Metric: MetricAccess, Reason: "original"}
 
-	cases := []struct {
-		scheme string
-		build  func(t *testing.T) (Detector, *[]Alarm)
-	}{
-		{"SDS/B", func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := NewSDSB(prof, cfg)
+	type buildFunc func(t *testing.T) (Detector, *[]Alarm)
+	var names []string
+	var builds []buildFunc
+	for _, s := range Schemes() {
+		names = append(names, s.Name)
+		builds = append(builds, func(t *testing.T) (Detector, *[]Alarm) {
+			d, err := s.New(prof, cfg, DefaultKSTestConfig(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return d, &d.alarms
-		}},
-		{"SDS/P", func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := NewSDSP(prof, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d, &d.alarms
-		}},
-		{"SDS", func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := NewSDS(prof, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d, &d.alarms
-		}},
-		{"KStest", func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := NewKSTest(DefaultKSTestConfig(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d, &d.alarms
-		}},
-		{"CUSUM", func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := NewCUSUM(prof, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d, &d.alarms
-		}},
-		{"TimeFrag", func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := NewTimeFrag(prof, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d, &d.alarms
-		}},
-		{"EWMAVar", func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := NewEWMAVar(prof, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d, &d.alarms
-		}},
-		{"Reprofiler", func(t *testing.T) (Detector, *[]Alarm) {
-			r, err := NewReprofiler(workload.FaceNet, prof, cfg, 600)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Inject into the retired-generation history: the concatenated
-			// view must still be aliasing-safe.
-			return r, &r.history
-		}},
+			return d, &d.(interface{ log() *alarmLog }).log().alarms
+		})
 	}
-	for _, tc := range cases {
-		t.Run(tc.scheme, func(t *testing.T) {
-			d, internal := tc.build(t)
+	names = append(names, "Reprofiler")
+	builds = append(builds, func(t *testing.T) (Detector, *[]Alarm) {
+		r, err := NewReprofiler(workload.FaceNet, prof, cfg, 600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Inject into the retired-generation history: the concatenated
+		// view must still be aliasing-safe.
+		return r, &r.history
+	})
+	for i, scheme := range names {
+		t.Run(scheme, func(t *testing.T) {
+			d, internal := builds[i](t)
 			*internal = append(*internal, injected)
 
 			got := d.Alarms()
@@ -288,11 +251,11 @@ func TestAlarmsNoAliasing(t *testing.T) {
 			_ = append(got, Alarm{Reason: "appended by caller"})
 
 			if (*internal)[0].Reason != "original" {
-				t.Fatalf("%s: caller mutation reached the internal slice", tc.scheme)
+				t.Fatalf("%s: caller mutation reached the internal slice", scheme)
 			}
 			again := d.Alarms()
 			if len(again) != 1 || again[0].Reason != "original" {
-				t.Fatalf("%s: second snapshot corrupted: %+v", tc.scheme, again)
+				t.Fatalf("%s: second snapshot corrupted: %+v", scheme, again)
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"github.com/memdos/sds/internal/attack"
+	"github.com/memdos/sds/internal/cloudsim"
 	"github.com/memdos/sds/internal/detect"
 	"github.com/memdos/sds/internal/metrics"
 	"github.com/memdos/sds/internal/pcm"
@@ -102,17 +103,21 @@ func (c Config) Validate() error {
 	return c.KSTest.Validate()
 }
 
-// SchemesFor returns the schemes evaluated for an application: the paper's
-// set — SDS and KStest everywhere, plus standalone SDS/B and SDS/P for the
-// periodic applications (PCA, FaceNet) — extended with the detector-zoo
-// baselines (CUSUM, TimeFrag, EWMAVar), which apply to every application.
+// SchemesFor returns the schemes evaluated for an application, in registry
+// order: the paper's set — SDS and KStest everywhere, plus standalone SDS/B
+// and SDS/P for the periodic applications (PCA, FaceNet) — extended with
+// the detector-zoo baselines (CUSUM, TimeFrag, EWMAVar), which apply to
+// every application. For a non-periodic application SDS is SDS/B alone and
+// SDS/P does not apply, so neither is evaluated on its own.
 func SchemesFor(app string) []Scheme {
-	prof := workload.MustAppProfile(app)
-	if prof.Periodic {
-		return []Scheme{SchemeSDS, SchemeSDSB, SchemeSDSP, SchemeKSTest,
-			SchemeCUSUM, SchemeTimeFrag, SchemeEWMAVar}
+	periodic := workload.MustAppProfile(app).Periodic
+	var out []Scheme
+	for _, s := range detect.Schemes() {
+		if name := Scheme(s.Name); periodic || (name != SchemeSDSB && name != SchemeSDSP) {
+			out = append(out, name)
+		}
 	}
-	return []Scheme{SchemeSDS, SchemeKSTest, SchemeCUSUM, SchemeTimeFrag, SchemeEWMAVar}
+	return out
 }
 
 // ThrottleState adapts the KStest throttling callbacks to the telemetry
@@ -130,49 +135,19 @@ func (f *ThrottleState) Paused() bool { return f.paused }
 
 // buildProfile runs Stage 1: an attack-free profiling pass for the app.
 func (c Config) buildProfile(app string, seed uint64) (detect.Profile, error) {
-	model, err := workload.NewModel(workload.MustAppProfile(app), randx.DeriveString(seed, app+"/profile"))
-	if err != nil {
-		return detect.Profile{}, err
-	}
-	tpcm := c.Detect.TPCM
-	n := pcm.SampleCount(c.ProfileSeconds, tpcm)
-	samples := make([]pcm.Sample, n)
-	for i := 0; i < n; i++ {
-		a, m := model.Sample(tpcm, workload.Env{})
-		samples[i] = pcm.Sample{T: float64(i+1) * tpcm, Access: a, Miss: m}
-	}
-	return detect.BuildProfile(app, samples, c.Detect)
+	return cloudsim.Stage1Profile(app, seed, c.ProfileSeconds, c.Detect)
 }
 
 // newDetector constructs the scheme's detector from a Stage-1 profile. The
-// returned ThrottleState is non-nil only for KStest.
+// returned ThrottleState is never nil; only KStest ever sets it.
 func (c Config) newDetector(scheme Scheme, prof detect.Profile) (detect.Detector, *ThrottleState, error) {
-	switch scheme {
-	case SchemeSDS:
-		d, err := detect.NewSDS(prof, c.Detect)
-		return d, nil, err
-	case SchemeSDSB:
-		d, err := detect.NewSDSB(prof, c.Detect)
-		return d, nil, err
-	case SchemeSDSP:
-		d, err := detect.NewSDSP(prof, c.Detect)
-		return d, nil, err
-	case SchemeKSTest:
-		flag := &ThrottleState{}
-		d, err := detect.NewKSTest(c.KSTest, flag)
-		return d, flag, err
-	case SchemeCUSUM:
-		d, err := detect.NewCUSUM(prof, c.Detect)
-		return d, nil, err
-	case SchemeTimeFrag:
-		d, err := detect.NewTimeFrag(prof, c.Detect)
-		return d, nil, err
-	case SchemeEWMAVar:
-		d, err := detect.NewEWMAVar(prof, c.Detect)
-		return d, nil, err
-	default:
-		return nil, nil, fmt.Errorf("experiment: unknown scheme %q", scheme)
+	s, err := detect.LookupScheme(string(scheme))
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiment: %w", err)
 	}
+	flag := &ThrottleState{}
+	det, err := s.New(prof, c.Detect, c.KSTest, flag)
+	return det, flag, err
 }
 
 // BuildDetector runs Stage-1 profiling for the app and constructs the
@@ -190,9 +165,6 @@ func (c Config) BuildDetector(app string, scheme Scheme, seed uint64) (detect.Pr
 	det, flag, err := c.newDetector(scheme, prof)
 	if err != nil {
 		return detect.Profile{}, nil, nil, fmt.Errorf("build %s for %s: %w", scheme, app, err)
-	}
-	if flag == nil {
-		flag = &ThrottleState{}
 	}
 	return prof, det, flag, nil
 }
@@ -224,9 +196,6 @@ func (c Config) detectionRun(app string, kind attack.Kind, scheme Scheme, run in
 	det, flag, err := c.newDetector(scheme, prof)
 	if err != nil {
 		return metrics.Outcome{}, fmt.Errorf("build %s for %s: %w", scheme, app, err)
-	}
-	if flag == nil {
-		flag = &ThrottleState{} // stays false for throttle-free schemes
 	}
 
 	runRng := randx.DeriveString(seed, app+"/run")

@@ -108,7 +108,7 @@ func (c Config) MigrationStudy(study MigrationStudyConfig, policy MigrationPolic
 		if err != nil {
 			return MigrationResult{}, err
 		}
-		det, flag, err = c.newDetectorWithFallback(scheme, prof)
+		det, flag, err = c.newDetector(scheme, prof)
 		if err != nil {
 			return MigrationResult{}, err
 		}
@@ -176,19 +176,6 @@ func (c Config) MigrationStudy(study MigrationStudyConfig, policy MigrationPolic
 	return res, nil
 }
 
-// newDetectorWithFallback builds the scheme's detector, falling back to
-// SDS/B when SDS/P is requested for a non-periodic profile.
-func (c Config) newDetectorWithFallback(scheme Scheme, prof detect.Profile) (detect.Detector, *ThrottleState, error) {
-	det, flag, err := c.newDetector(scheme, prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	if flag == nil {
-		flag = &ThrottleState{}
-	}
-	return det, flag, nil
-}
-
 // resetDetector re-profiles and rebuilds the detector after a migration —
 // the paper's Stage 1 runs anew whenever a VM is migrated, since the new
 // host is attack-free at that moment.
@@ -197,5 +184,5 @@ func (c Config) resetDetector(scheme Scheme, app string, seed uint64) (detect.De
 	if err != nil {
 		return nil, nil, err
 	}
-	return c.newDetectorWithFallback(scheme, prof)
+	return c.newDetector(scheme, prof)
 }

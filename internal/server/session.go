@@ -31,8 +31,8 @@ type StreamSpec struct {
 	VM string
 	// App names the profiled application.
 	App string
-	// Scheme selects the detector: sds, sdsb, sdsp, kstest, cusum,
-	// timefrag or ewmavar.
+	// Scheme selects the detector by any name detect.LookupScheme
+	// resolves (sds, sdsb, sdsp, kstest, cusum, timefrag or ewmavar).
 	Scheme string
 	// ProfileSeconds is the leading stream span used as the Stage-1
 	// profile; the VM must be known attack-free during it.
@@ -40,7 +40,7 @@ type StreamSpec struct {
 	// Config carries the SDS parameters (zero value: DefaultConfig).
 	Config detect.Config
 	// KSConfig carries the KStest baseline parameters (zero value:
-	// DefaultKSTestConfig). Only consulted for Scheme == "kstest".
+	// DefaultKSTestConfig). Only consulted for the raw-sample KStest.
 	KSConfig detect.KSTestConfig
 	// OnProfile, when set, observes the completed Stage-1 profile and the
 	// number of samples it was built from.
@@ -48,36 +48,36 @@ type StreamSpec struct {
 	// OnAlarm, when set, observes every alarm as it fires; a non-nil
 	// return poisons the session (subsequent Observes fail).
 	OnAlarm func(a detect.Alarm) error
-	// KSOptions is passed through to NewKSTest (tracing hooks in tests).
+	// KSOptions is passed through to the KStest constructor (tracing hooks
+	// in tests).
 	KSOptions []detect.KSTestOption
 }
 
-// normalize fills defaults and validates.
-func (spec *StreamSpec) normalize() error {
+// normalize fills defaults, validates, and resolves the scheme.
+func (spec *StreamSpec) normalize() (detect.Scheme, error) {
 	if spec.App == "" {
 		spec.App = "monitored-vm"
 	}
 	if spec.Scheme == "" {
 		spec.Scheme = "sds"
 	}
-	switch spec.Scheme {
-	case "sds", "sdsb", "sdsp", "kstest", "cusum", "timefrag", "ewmavar":
-	default:
-		return fmt.Errorf("unknown scheme %q (want sds, sdsb, sdsp, kstest, cusum, timefrag or ewmavar)", spec.Scheme)
+	scheme, err := detect.LookupScheme(spec.Scheme)
+	if err != nil {
+		return detect.Scheme{}, err
 	}
 	if spec.ProfileSeconds <= 0 {
-		return fmt.Errorf("profile window must be positive, got %v", spec.ProfileSeconds)
+		return detect.Scheme{}, fmt.Errorf("profile window must be positive, got %v", spec.ProfileSeconds)
 	}
 	if spec.Config == (detect.Config{}) {
 		spec.Config = detect.DefaultConfig()
 	}
 	if err := spec.Config.Validate(); err != nil {
-		return err
+		return detect.Scheme{}, err
 	}
 	if spec.KSConfig == (detect.KSTestConfig{}) {
 		spec.KSConfig = detect.DefaultKSTestConfig()
 	}
-	return nil
+	return scheme, nil
 }
 
 // SessionStats is a point-in-time snapshot of one stream's state.
@@ -113,26 +113,45 @@ func (st SessionStats) Ingested() uint64 {
 type Session struct {
 	spec StreamSpec
 
-	mu             sync.Mutex
-	profiling      bool
-	cutoff         float64
-	profileSamples []pcm.Sample
-	profileCount   int
-	profile        detect.Profile
-	guard          *detect.Sanitizer
-	monitored      uint64
-	emitted        int
-	lastT          float64
-	err            error
+	mu           sync.Mutex
+	profiling    bool
+	cutoff       float64
+	profiler     *detect.Profiler
+	profileCount int
+	profile      detect.Profile
+	// det is the detector, built at NewSession for a raw-sample scheme
+	// (which then sees the Stage-1 samples too) and at the profile
+	// boundary otherwise.
+	det       detect.Detector
+	guard     *detect.Sanitizer
+	monitored uint64
+	emitted   int
+	lastT     float64
+	err       error
 }
 
 // NewSession validates the spec and returns a session in the profiling
 // stage.
 func NewSession(spec StreamSpec) (*Session, error) {
-	if err := spec.normalize(); err != nil {
+	scheme, err := spec.normalize()
+	if err != nil {
 		return nil, err
 	}
-	return &Session{spec: spec, profiling: true}, nil
+	profiler, err := detect.NewProfiler(spec.App, spec.Config)
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{spec: spec, profiling: true, profiler: profiler}
+	if scheme.Raw {
+		// Seed the baseline from the attack-free Stage-1 window. Without
+		// this the detector would collect its first reference from the
+		// monitored tail — a stream attacked right after profiling would
+		// teach KStest an under-attack baseline and it would never alarm.
+		if s.det, err = scheme.New(detect.Profile{}, spec.Config, spec.KSConfig, nil, spec.KSOptions...); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
 // Name returns the scheme name.
@@ -180,22 +199,15 @@ func (s *Session) ObserveBatch(batch []pcm.Sample) (int, error) {
 func (s *Session) observeLocked(smp pcm.Sample) error {
 	s.lastT = smp.T
 	if s.profiling {
-		if s.profileSamples == nil {
+		if s.profileCount == 0 {
 			s.cutoff = smp.T + s.spec.ProfileSeconds
-			// Preallocate the whole Stage-1 window. Growing it by doubling
-			// re-copies every session's window ~twice — at thousands of
-			// concurrent sessions that is hundreds of MB of memmove on the
-			// ingest hot path. The cap keeps an absurd ProfileSeconds from
-			// reserving memory up front; append grows past it if needed.
-			n := int(s.spec.ProfileSeconds/s.spec.Config.TPCM) + 1
-			if n > 1<<20 {
-				n = 1 << 20
-			}
-			s.profileSamples = make([]pcm.Sample, 0, n)
 		}
 		if smp.T < s.cutoff {
-			s.profileSamples = append(s.profileSamples, smp)
-			s.profileCount = len(s.profileSamples)
+			s.profiler.Observe(smp)
+			if s.det != nil {
+				s.det.Observe(smp)
+			}
+			s.profileCount++
 			return nil
 		}
 		// The boundary sample starts the monitored stage: a window of
@@ -211,35 +223,32 @@ func (s *Session) observeLocked(smp pcm.Sample) error {
 	return nil
 }
 
-// finishProfileLocked builds the profile and detector from the accumulated
-// Stage-1 window.
+// finishProfileLocked builds the profile, and the detector unless Stage 1
+// already fed it, at the Stage-1 boundary.
 func (s *Session) finishProfileLocked() error {
-	prof, err := detect.BuildProfile(s.spec.App, s.profileSamples, s.spec.Config)
+	prof, err := s.profiler.Profile()
 	if err != nil {
 		return err
 	}
-	det, err := newDetector(s.spec, prof)
-	if err != nil {
-		return err
-	}
-	if ks, ok := det.(*detect.KSTest); ok {
-		// Seed the baseline from the attack-free Stage-1 window. Without
-		// this the detector would collect its first reference from the
-		// monitored tail — a stream attacked right after profiling would
-		// teach KStest an under-attack baseline and it would never alarm.
-		for _, ps := range s.profileSamples {
-			ks.Observe(ps)
+	if s.det == nil {
+		scheme, err := detect.LookupScheme(s.spec.Scheme)
+		if err != nil {
+			return err
+		}
+		if s.det, err = scheme.New(prof, s.spec.Config, s.spec.KSConfig, nil, s.spec.KSOptions...); err != nil {
+			return err
 		}
 	}
 	s.profile = prof
-	s.guard = detect.NewSanitizer(det)
+	s.guard = detect.NewSanitizer(s.det)
 	s.profiling = false
-	s.profileSamples = nil
+	s.profiler = nil
 	if s.spec.OnProfile != nil {
 		s.spec.OnProfile(prof, s.profileCount)
 	}
-	// Surface any alarms the seeding pass raised (a poisoned "attack-free"
-	// window should be visible, not silently absorbed).
+	// Surface any alarms a raw-sample scheme raised on the Stage-1 samples
+	// (a poisoned "attack-free" window should be visible, not silently
+	// absorbed).
 	return s.emitLocked()
 }
 
@@ -334,25 +343,3 @@ func (v detectorView) Name() string           { return v.s.Name() }
 func (v detectorView) Observe(smp pcm.Sample) { _ = v.s.Observe(smp) }
 func (v detectorView) Alarmed() bool          { return v.s.Alarmed() }
 func (v detectorView) Alarms() []detect.Alarm { return v.s.Alarms() }
-
-// newDetector constructs the configured scheme for a completed profile.
-func newDetector(spec StreamSpec, prof detect.Profile) (detect.Detector, error) {
-	switch spec.Scheme {
-	case "sds":
-		return detect.NewSDS(prof, spec.Config)
-	case "sdsb":
-		return detect.NewSDSB(prof, spec.Config)
-	case "sdsp":
-		return detect.NewSDSP(prof, spec.Config)
-	case "kstest":
-		return detect.NewKSTest(spec.KSConfig, nil, spec.KSOptions...)
-	case "cusum":
-		return detect.NewCUSUM(prof, spec.Config)
-	case "timefrag":
-		return detect.NewTimeFrag(prof, spec.Config)
-	case "ewmavar":
-		return detect.NewEWMAVar(prof, spec.Config)
-	default:
-		return nil, fmt.Errorf("unknown scheme %q (want sds, sdsb, sdsp, kstest, cusum, timefrag or ewmavar)", spec.Scheme)
-	}
-}
