@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-all bench-scale bench-check cover cover-check chaos goldens verify repro smoke smoke-cloudsim smoke-evasion fuzz-smoke clean
+.PHONY: all build test race vet bench bench-all bench-scale bench-check cover cover-check chaos goldens verify repro smoke smoke-cloudsim smoke-evasion fuzz-smoke examples clean
 
 all: build vet test
 
@@ -122,6 +122,12 @@ smoke-cloudsim:
 # half of the golden fixtures' promise).
 smoke-evasion:
 	./scripts/smoke_evasion.sh
+
+# Run every example program. Each is a standalone main over the public sds
+# API, and dynamicapp exits non-zero when its attack goes undetected, so
+# this is an end-to-end check that `go build ./...` alone does not give.
+examples:
+	@for d in examples/*/; do echo "run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # Short fuzz pass over the feed parsers — CSV and the binary frame codec —
 # plus the evasive-schedule composition (Intensity/MeanIntensity must stay

@@ -55,34 +55,30 @@ func NewFleet() *Fleet {
 	return f
 }
 
-// shard maps a VM name to its registry stripe via FNV-1a (inlined so the
-// hot path allocates nothing — hash/fnv would force the string through an
-// io.Writer).
+// shard returns the registry stripe the named VM maps to.
 func (f *Fleet) shard(vm string) *fleetShard {
-	return &f.shards[stripeIndex(vm)]
+	return &f.shards[Stripe(vm)]
 }
 
-// stripeIndex is the FNV-1a stripe mapping shared by shard and Stripe.
-func stripeIndex(vm string) uint32 {
+// Stripe maps a VM name to one of fleetShardCount stripes by FNV-1a,
+// inlined so the hot path allocates nothing (hash/fnv would force the
+// string through an io.Writer). Fleet stripes its registry by it, and the
+// sdsd ingest plane routes a VM's streams to shard Stripe(vm) mod shards.
+func Stripe(vm string) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(vm); i++ {
 		h ^= uint32(vm[i])
 		h *= 16777619
 	}
-	return h & (fleetShardCount - 1)
+	return int(h & (fleetShardCount - 1))
 }
 
 // StripeCount returns the number of registry stripes (a power of two,
 // fixed at construction).
 func (f *Fleet) StripeCount() int { return fleetShardCount }
 
-// Stripe returns the registry stripe index the named VM maps to. The
-// ingest plane derives connection→shard affinity from it (ingest shard =
-// Stripe(vm) mod shard count), so an ingest shard's VMs occupy a disjoint
-// stripe subset: with N ingest shards, shard s touches only stripes ≡ s
-// (mod N), and Protect/Unprotect traffic from different ingest shards
-// never contends on a stripe lock.
-func (f *Fleet) Stripe(vm string) int { return int(stripeIndex(vm)) }
+// Stripe returns the registry stripe index the named VM maps to.
+func (f *Fleet) Stripe(vm string) int { return Stripe(vm) }
 
 // Protect registers a detector for the named VM. Re-registering a name
 // replaces its detector (e.g. after re-profiling).

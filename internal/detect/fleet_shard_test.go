@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sync/atomic"
 	"testing"
 
@@ -29,6 +30,25 @@ func TestFleetShardDistribution(t *testing.T) {
 	for sh, n := range counts {
 		if n > 4*vms/fleetShardCount {
 			t.Errorf("shard %p holds %d of %d VMs — hash is skewed", sh, n, vms)
+		}
+	}
+}
+
+// TestStripeIsFNV1a pins the stripe mapping to FNV-1a of the name, masked
+// to 64 stripes. sdsd routes a VM to ingest shard Stripe(vm) mod shards,
+// so this is also what keeps a VM on the same shard across releases.
+func TestStripeIsFNV1a(t *testing.T) {
+	f := NewFleet()
+	for i := 0; i < 4096; i++ {
+		vm := fmt.Sprintf("vm-%05d", i)
+		h := fnv.New32a()
+		h.Write([]byte(vm))
+		want := int(h.Sum32() & 63)
+		if got := Stripe(vm); got != want {
+			t.Fatalf("Stripe(%q) = %d, want %d", vm, got, want)
+		}
+		if f.shard(vm) != &f.shards[want] || f.Stripe(vm) != want {
+			t.Fatalf("fleet stripes %q off Stripe", vm)
 		}
 	}
 }

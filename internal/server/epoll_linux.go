@@ -302,7 +302,6 @@ func (l *epollLoop) decode(ec *epConn, window []byte, eof bool) bool {
 		consumed, n, q, err := ec.scan.Next(window[pos:], dst)
 		if q > 0 {
 			ec.st.quarantined.Add(uint64(q))
-			l.srv.totalQuarantined.Add(uint64(q))
 			l.shard.quarantined.Add(uint64(q))
 			l.srv.logf("vm %s: quarantined %d non-finite samples in frame %d", ec.vm, q, ec.scan.Frames())
 		}
@@ -320,7 +319,6 @@ func (l *epollLoop) decode(ec *epConn, window []byte, eof bool) bool {
 			break // partial frame: carry the tail
 		}
 		pos += consumed
-		l.srv.totalBinFrames.Add(1)
 		l.shard.frames.Add(1)
 		if ec.resumed {
 			k := 0
@@ -350,14 +348,13 @@ func (l *epollLoop) flush(ec *epConn, batch []pcm.Sample) {
 		return
 	}
 	n, err := ec.sess.ObserveBatch(batch)
-	l.srv.totalSamples.Add(uint64(n))
 	l.shard.samples.Add(uint64(n))
 	if err != nil {
 		ec.procErr = err
 	}
 }
 
-// finalize ends one event-loop stream: fleet release, session close,
+// finalize ends one event-loop stream: VM slot release, session close,
 // error/done lines (under the loop write deadline), connection close, wg
 // slot release. Mirrors the tail of the goroutine handler byte for byte.
 func (l *epollLoop) finalize(ec *epConn, readErr error, evicted bool) {
@@ -366,7 +363,7 @@ func (l *epollLoop) finalize(ec *epConn, readErr error, evicted bool) {
 	l.shard.conns.Add(-1)
 
 	s := l.srv
-	s.release(ec.vm, ec.st)
+	ec.st.connected.Store(false)
 	stats, closeErr := ec.sess.Close()
 	if evicted {
 		s.idleEvictions.Add(1)

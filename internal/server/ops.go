@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"time"
 )
 
@@ -53,41 +54,31 @@ type Metrics struct {
 	VMs        map[string]VMMetrics `json:"vms"`
 }
 
-// Metrics snapshots the server's state.
+// Metrics snapshots the server's state: one row per entry of the session
+// table, and the ingest totals summed over the shard rows.
 func (s *Server) Metrics() Metrics {
-	s.mu.Lock()
 	type entry struct {
 		vm      string
 		st      *vmState
 		resumes int
 	}
-	entries := make([]entry, 0, len(s.order))
-	for _, vm := range s.order {
-		if st, ok := s.sessions[vm]; ok {
-			// resumes is guarded by s.mu; copy it while we hold the lock.
-			entries = append(entries, entry{vm, st, st.resumes})
-		}
+	s.mu.Lock()
+	entries := make([]entry, 0, len(s.sessions))
+	for vm, st := range s.sessions {
+		// resumes is guarded by s.mu; copy it while we hold the lock.
+		entries = append(entries, entry{vm, st, st.resumes})
 	}
 	s.mu.Unlock()
 
 	m := Metrics{
-		UptimeSeconds:    time.Since(s.start).Seconds(),
-		TotalSamples:     s.totalSamples.Load(),
-		TotalAlarms:      s.totalAlarms.Load(),
-		TotalQuarantined: s.totalQuarantined.Load(),
-		TotalBinFrames:   s.totalBinFrames.Load(),
-		IdleEvictions:    s.idleEvictions.Load(),
-		AlarmedVMs:       s.fleet.AlarmedVMs(),
-		VMs:              make(map[string]VMMetrics, len(entries)),
+		UptimeSeconds: time.Since(s.start).Seconds(),
+		TotalAlarms:   s.totalAlarms.Load(),
+		IdleEvictions: s.idleEvictions.Load(),
+		Shards:        make([]ShardMetrics, len(s.shards)),
+		AlarmedVMs:    []string{},
+		VMs:           make(map[string]VMMetrics, len(entries)),
 	}
-	if m.AlarmedVMs == nil {
-		m.AlarmedVMs = []string{}
-	}
-	if m.UptimeSeconds > 0 {
-		m.SamplesPerSecond = float64(m.TotalSamples) / m.UptimeSeconds
-	}
-	m.Shards = make([]ShardMetrics, len(s.shards))
-	var shardMax, shardSum uint64
+	var shardMax uint64
 	for i, sh := range s.shards {
 		row := ShardMetrics{
 			Conns:       sh.conns.Load(),
@@ -97,19 +88,25 @@ func (s *Server) Metrics() Metrics {
 			QueueDepth:  sh.queueDepth.Load(),
 		}
 		m.Shards[i] = row
-		shardSum += row.Samples
-		if row.Samples > shardMax {
-			shardMax = row.Samples
-		}
+		m.TotalSamples += row.Samples
+		m.TotalQuarantined += row.Quarantined
+		m.TotalBinFrames += row.BinFrames
+		shardMax = max(shardMax, row.Samples)
 	}
-	if shardSum > 0 {
-		m.ShardSkew = float64(shardMax) * float64(len(s.shards)) / float64(shardSum)
+	if m.TotalSamples > 0 {
+		m.ShardSkew = float64(shardMax) * float64(len(s.shards)) / float64(m.TotalSamples)
+	}
+	if m.UptimeSeconds > 0 {
+		m.SamplesPerSecond = float64(m.TotalSamples) / m.UptimeSeconds
 	}
 	for _, e := range entries {
 		st := e.st.sess.Stats()
 		connected := e.st.connected.Load()
 		if connected {
 			m.ActiveVMs++
+			if st.Alarmed {
+				m.AlarmedVMs = append(m.AlarmedVMs, e.vm)
+			}
 		}
 		m.VMs[e.vm] = VMMetrics{
 			App:            st.App,
@@ -126,6 +123,7 @@ func (s *Server) Metrics() Metrics {
 			LastT:          st.LastT,
 		}
 	}
+	sort.Strings(m.AlarmedVMs)
 	return m
 }
 

@@ -72,13 +72,13 @@ type Options struct {
 	// the client through TCP instead of growing memory.
 	BufferSamples int
 	// Shards is the number of ingest shards (default runtime.GOMAXPROCS(0)).
-	// Every network stream is affine to one shard — shard = fleet stripe of
-	// the VM name mod Shards — so shard-local state never crosses shards;
-	// see shard.go for the model.
+	// Every stream is affine to one shard — shard = detect.Stripe of the VM
+	// name mod Shards — so shard-local state never crosses shards; see
+	// shard.go for the model.
 	Shards int
 	// IdleTimeout evicts a connection whose client sends nothing for this
 	// long: the session ends as if the stream closed, so a wedged client
-	// cannot hold its VM slot (and its fleet registration) forever.
+	// cannot hold its VM slot forever.
 	// 0 disables idle eviction.
 	IdleTimeout time.Duration
 	// MaxResumes bounds how many times a VM id may reconnect and resume a
@@ -95,12 +95,12 @@ type Options struct {
 // control plane.
 type Server struct {
 	opts  Options
-	fleet *detect.Fleet
 	start time.Time
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// sessions is the server's one VM table: every VM it has served, by
+	// name, connected or not.
 	sessions  map[string]*vmState
-	order     []string // registration order, for stable /metricsz output
 	listeners map[net.Listener]struct{}
 	// conns tracks goroutine-path connections (nil value until the handler
 	// attaches idle-sweep state). Event-loop connections are owned by
@@ -114,11 +114,8 @@ type Server struct {
 	wg       sync.WaitGroup // connection handlers
 	draining atomic.Bool
 
-	totalSamples     atomic.Uint64
-	totalAlarms      atomic.Uint64
-	totalQuarantined atomic.Uint64
-	totalBinFrames   atomic.Uint64
-	idleEvictions    atomic.Uint64
+	totalAlarms   atomic.Uint64
+	idleEvictions atomic.Uint64
 }
 
 // vmState tracks one VM's stream across its lifetime (it outlives the
@@ -126,9 +123,6 @@ type Server struct {
 type vmState struct {
 	sess      *Session
 	connected atomic.Bool
-	// spec is the resolved stream spec, kept so a reconnect can be checked
-	// for compatibility before resuming the session.
-	spec StreamSpec
 	// sink is the current connection's writer; alarms route through it so a
 	// resumed session reports to the live connection, not the dead one. Nil
 	// for in-process streams.
@@ -167,7 +161,6 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:      opts,
-		fleet:     detect.NewFleet(),
 		start:     time.Now(),
 		sessions:  make(map[string]*vmState),
 		listeners: make(map[net.Listener]struct{}),
@@ -183,9 +176,6 @@ func New(opts Options) *Server {
 
 // ShardCount returns the number of ingest shards.
 func (s *Server) ShardCount() int { return len(s.shards) }
-
-// Fleet returns the server's detector fleet (aggregate alarm state).
-func (s *Server) Fleet() *detect.Fleet { return s.fleet }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.opts.Logf != nil {
@@ -269,53 +259,34 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// streamSpec builds the per-stream spec from a parsed handshake.
-func (s *Server) streamSpec(h handshake) StreamSpec {
-	spec := StreamSpec{
-		VM:             h.vm,
-		App:            s.opts.App,
-		Scheme:         s.opts.Scheme,
-		ProfileSeconds: s.opts.ProfileSeconds,
-		Config:         s.opts.Config,
-		KSConfig:       s.opts.KSConfig,
+// withDefaults fills a stream spec's zero fields from the server's
+// defaults, the way a handshake's omitted fields fall back.
+func (s *Server) withDefaults(spec StreamSpec) StreamSpec {
+	if spec.App == "" {
+		spec.App = s.opts.App
 	}
-	if h.app != "" {
-		spec.App = h.app
+	if spec.Scheme == "" {
+		spec.Scheme = s.opts.Scheme
 	}
-	if h.scheme != "" {
-		spec.Scheme = h.scheme
+	if spec.ProfileSeconds <= 0 {
+		spec.ProfileSeconds = s.opts.ProfileSeconds
 	}
-	if h.profileSeconds > 0 {
-		spec.ProfileSeconds = h.profileSeconds
+	if spec.Config == (detect.Config{}) {
+		spec.Config = s.opts.Config
+	}
+	if spec.KSConfig == (detect.KSTestConfig{}) {
+		spec.KSConfig = s.opts.KSConfig
 	}
 	return spec
 }
 
-// register installs a new session for vm, rejecting duplicates that are
-// still streaming (a reconnect after disconnect replaces the old state).
-func (s *Server) register(vm string, sess *Session) (*vmState, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, ok := s.sessions[vm]; ok && st.connected.Load() {
-		return nil, fmt.Errorf("vm %q is already streaming", vm)
-	} else if !ok {
-		s.order = append(s.order, vm)
-	}
-	st := &vmState{sess: sess}
-	st.connected.Store(true)
-	s.sessions[vm] = st
-	if err := s.fleet.Protect(vm, detectorView{sess}); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// attach binds a stream connection to its VM state. A reconnect for a VM
-// whose previous connection died inside the Stage-1 profiling window — with
-// a matching spec and resume budget left — resumes the existing session
-// where it left off (resumed=true); anything else installs a fresh session,
-// replacing disconnected state like register. Duplicate active VM ids are
-// rejected either way.
+// attach binds a stream to its VM state; cw is the connection's writer,
+// nil for an in-process stream. A reconnect for a VM whose previous
+// connection died inside the Stage-1 profiling window — with a matching
+// spec and resume budget left — resumes the existing session where it left
+// off (resumed=true); anything else, in-process streams included, installs
+// a fresh session, replacing disconnected state. Duplicate active VM ids
+// are rejected either way.
 func (s *Server) attach(spec StreamSpec, cw *connWriter) (st *vmState, resumed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -323,21 +294,14 @@ func (s *Server) attach(spec StreamSpec, cw *connWriter) (st *vmState, resumed b
 	if known && st.connected.Load() {
 		return nil, false, fmt.Errorf("vm %q is already streaming", spec.VM)
 	}
-	if known && st.sink.Load() != nil && st.sess.Profiling() &&
-		st.resumes < s.opts.MaxResumes && resumable(st.spec, spec) {
+	if known && cw != nil && st.sink.Load() != nil && st.sess.Profiling() &&
+		st.resumes < s.opts.MaxResumes && resumable(st.sess.spec, spec) {
 		st.resumes++
 		st.sink.Store(cw)
 		st.connected.Store(true)
-		if err := s.fleet.Protect(spec.VM, detectorView{st.sess}); err != nil {
-			st.connected.Store(false)
-			return nil, false, err
-		}
 		return st, true, nil
 	}
-	if !known {
-		s.order = append(s.order, spec.VM)
-	}
-	st = &vmState{spec: spec}
+	st = &vmState{}
 	st.sink.Store(cw)
 	sess, err := NewSession(s.instrument(spec, st))
 	if err != nil {
@@ -346,9 +310,6 @@ func (s *Server) attach(spec StreamSpec, cw *connWriter) (st *vmState, resumed b
 	st.sess = sess
 	st.connected.Store(true)
 	s.sessions[spec.VM] = st
-	if err := s.fleet.Protect(spec.VM, detectorView{sess}); err != nil {
-		return nil, false, err
-	}
 	return st, false, nil
 }
 
@@ -360,12 +321,14 @@ func resumable(old, new StreamSpec) bool {
 		old.ProfileSeconds == new.ProfileSeconds
 }
 
-// instrument wires a connection-backed spec's callbacks: alarms go to the
-// VM's current sink (so resumption redirects them to the live connection)
-// and never poison the session — a client that died mid-drain must not cost
-// the surviving buffered samples their processing.
+// instrument wires a spec's callbacks: alarms are counted and logged, go
+// to the VM's current sink (so resumption redirects them to the live
+// connection), and then to the caller's own OnAlarm/OnProfile, if any.
+// Sink failures never poison the session — a client that died mid-drain
+// must not cost the surviving buffered samples their processing.
 func (s *Server) instrument(spec StreamSpec, st *vmState) StreamSpec {
 	vm := spec.VM
+	onAlarm, onProfile := spec.OnAlarm, spec.OnProfile
 	spec.OnAlarm = func(a detect.Alarm) error {
 		s.totalAlarms.Add(1)
 		s.logf("vm %s: ALARM %s (%s) at %.2fs: %s", vm, a.Detector, a.Metric, a.T, a.Reason)
@@ -377,19 +340,19 @@ func (s *Server) instrument(spec StreamSpec, st *vmState) StreamSpec {
 				s.logf("vm %s: client gone, alarm not delivered: %v", vm, err)
 			}
 		}
+		if onAlarm != nil {
+			return onAlarm(a)
+		}
 		return nil
 	}
 	spec.OnProfile = func(p detect.Profile, n int) {
 		s.logf("vm %s: profiled %s over %d samples (μ_access=%.4g σ=%.4g periodic=%v)",
 			vm, p.App, n, p.MeanAccess, p.StdAccess, p.Periodic)
+		if onProfile != nil {
+			onProfile(p, n)
+		}
 	}
 	return spec
-}
-
-// release marks vm's stream ended and removes it from the active fleet.
-func (s *Server) release(vm string, st *vmState) {
-	st.connected.Store(false)
-	s.fleet.Unprotect(vm)
 }
 
 // handleConn runs one VM stream. Ownership either stays here for the whole
@@ -444,13 +407,15 @@ func (s *Server) serveConn(conn net.Conn) (handed bool) {
 		cw.line("error: %v", err)
 		return false
 	}
-	st, resumed, err := s.attach(s.streamSpec(h), cw)
+	st, resumed, err := s.attach(s.withDefaults(StreamSpec{
+		VM: h.vm, App: h.app, Scheme: h.scheme, ProfileSeconds: h.profileSeconds,
+	}), cw)
 	if err != nil {
 		putReader()
 		cw.line("error: %v", err)
 		return false
 	}
-	sess, spec := st.sess, st.spec
+	sess, spec := st.sess, st.sess.spec
 	sh := s.shardFor(h.vm)
 	sh.conns.Add(1)
 	// A resumed client replays its stream from the start; samples at or
@@ -476,7 +441,7 @@ func (s *Server) serveConn(conn net.Conn) (handed bool) {
 	if err != nil {
 		putReader()
 		sh.conns.Add(-1)
-		s.release(h.vm, st)
+		st.connected.Store(false)
 		return false
 	}
 
@@ -501,7 +466,7 @@ func (s *Server) serveConn(conn net.Conn) (handed bool) {
 	}
 	defer putReader()
 	defer sh.conns.Add(-1)
-	defer s.release(h.vm, st)
+	defer st.connected.Store(false)
 
 	var procErr, readErr error
 	var evicted bool
@@ -553,7 +518,6 @@ func (s *Server) pumpCSV(br *bufio.Reader, act *connActivity, sh *ingestShard, s
 		}
 		if procErr == nil {
 			n, err := sess.ObserveBatch(batch)
-			s.totalSamples.Add(uint64(n))
 			sh.samples.Add(uint64(n))
 			if err != nil {
 				procErr = err
@@ -579,7 +543,6 @@ func (s *Server) pumpCSV(br *bufio.Reader, act *connActivity, sh *ingestShard, s
 				// Malformed line: quarantine it and keep the connection —
 				// one torn write must not kill an otherwise healthy stream.
 				st.quarantined.Add(1)
-				s.totalQuarantined.Add(1)
 				sh.quarantined.Add(1)
 				s.logf("vm %s: quarantined malformed line %d: %v", vm, pe.Line, pe.Err)
 				continue
@@ -635,7 +598,6 @@ func (s *Server) pumpBinary(br *bufio.Reader, act *connActivity, sh *ingestShard
 		n, q, err := bin.ReadFrame(buf)
 		if q > 0 {
 			st.quarantined.Add(uint64(q))
-			s.totalQuarantined.Add(uint64(q))
 			sh.quarantined.Add(uint64(q))
 			s.logf("vm %s: quarantined %d non-finite samples in frame %d", vm, q, bin.Frames())
 		}
@@ -654,7 +616,6 @@ func (s *Server) pumpBinary(br *bufio.Reader, act *connActivity, sh *ingestShard
 			}
 			break
 		}
-		s.totalBinFrames.Add(1)
 		sh.frames.Add(1)
 		if procErr != nil {
 			continue // poisoned: drain the stream, discard
@@ -674,7 +635,6 @@ func (s *Server) pumpBinary(br *bufio.Reader, act *connActivity, sh *ingestShard
 			continue
 		}
 		nObs, err := sess.ObserveBatch(batch)
-		s.totalSamples.Add(uint64(nObs))
 		sh.samples.Add(uint64(nObs))
 		if err != nil {
 			procErr = err
@@ -686,10 +646,8 @@ func (s *Server) pumpBinary(br *bufio.Reader, act *connActivity, sh *ingestShard
 // Stream is an in-process VM stream: the same lifecycle as a connection,
 // fed directly by the caller (which provides natural backpressure).
 type Stream struct {
-	srv  *Server
-	vm   string
-	st   *vmState
-	sess *Session
+	state *vmState
+	shard *ingestShard
 }
 
 // OpenStream registers an in-process stream for spec.VM. The spec's zero
@@ -698,56 +656,29 @@ func (s *Server) OpenStream(spec StreamSpec) (*Stream, error) {
 	if spec.VM == "" {
 		return nil, fmt.Errorf("in-process stream needs a VM name")
 	}
-	if spec.App == "" {
-		spec.App = s.opts.App
-	}
-	if spec.Scheme == "" {
-		spec.Scheme = s.opts.Scheme
-	}
-	if spec.ProfileSeconds <= 0 {
-		spec.ProfileSeconds = s.opts.ProfileSeconds
-	}
-	if spec.Config == (detect.Config{}) {
-		spec.Config = s.opts.Config
-	}
-	if spec.KSConfig == (detect.KSTestConfig{}) {
-		spec.KSConfig = s.opts.KSConfig
-	}
-	userAlarm := spec.OnAlarm
-	spec.OnAlarm = func(a detect.Alarm) error {
-		s.totalAlarms.Add(1)
-		if userAlarm != nil {
-			return userAlarm(a)
-		}
-		return nil
-	}
-	sess, err := NewSession(spec)
+	st, _, err := s.attach(s.withDefaults(spec), nil)
 	if err != nil {
 		return nil, err
 	}
-	st, err := s.register(spec.VM, sess)
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{srv: s, vm: spec.VM, st: st, sess: sess}, nil
+	return &Stream{state: st, shard: s.shardFor(spec.VM)}, nil
 }
 
 // Observe ingests one sample.
 func (st *Stream) Observe(smp pcm.Sample) error {
-	if err := st.sess.Observe(smp); err != nil {
+	if err := st.state.sess.Observe(smp); err != nil {
 		return err
 	}
-	st.srv.totalSamples.Add(1)
+	st.shard.samples.Add(1)
 	return nil
 }
 
 // Session exposes the stream's session (stats, profile, alarms).
-func (st *Stream) Session() *Session { return st.sess }
+func (st *Stream) Session() *Session { return st.state.sess }
 
-// Close ends the stream and releases its fleet slot.
+// Close ends the stream and frees its VM slot.
 func (st *Stream) Close() (SessionStats, error) {
-	st.srv.release(st.vm, st.st)
-	return st.sess.Close()
+	st.state.connected.Store(false)
+	return st.state.sess.Close()
 }
 
 // handshake is the parsed first line of a stream connection.
@@ -813,11 +744,10 @@ func parseHandshake(line string) (handshake, error) {
 	return h, nil
 }
 
-// connWriter serializes line writes to a connection (alarms can come from
-// another VM's pump via the fleet, errors from this stream's owner). When
-// writeTimeout is set — connections owned by a shard event loop — every
-// line is bounded by a write deadline, so one wedged client cannot stall
-// the single-threaded loop; past the deadline the writer goes sticky-failed
+// connWriter serializes line writes to a connection. When writeTimeout is
+// set — connections owned by a shard event loop — every line is bounded
+// by a write deadline, so one wedged client cannot stall the
+// single-threaded loop; past the deadline the writer goes sticky-failed
 // like any dead client.
 type connWriter struct {
 	mu           sync.Mutex

@@ -152,7 +152,7 @@ func synthCSV(from, to int, tpcm, base float64) []byte {
 
 // TestServerManyConcurrentStreams is the scale acceptance test: 32 VM
 // streams at once, every sample accounted for, none lost. Run under -race
-// in CI, it also proves the fleet/session locking.
+// in CI, it also proves the session-table locking.
 func TestServerManyConcurrentStreams(t *testing.T) {
 	const (
 		vms     = 32
@@ -407,12 +407,7 @@ func TestServerOpsSurface(t *testing.T) {
 		t.Errorf("healthz = %d %q", rr.Code, rr.Body.String())
 	}
 
-	rr = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metricsz", nil))
-	var m Metrics
-	if err := json.Unmarshal(rr.Body.Bytes(), &m); err != nil {
-		t.Fatalf("metricsz is not JSON: %v\n%s", err, rr.Body.String())
-	}
+	m := scrape(t, s)
 	vm, ok := m.VMs["web-1"]
 	if !ok {
 		t.Fatalf("metricsz lacks vm web-1: %+v", m)

@@ -27,7 +27,7 @@ import (
 
 // StreamSpec configures one VM stream's detection lifecycle.
 type StreamSpec struct {
-	// VM identifies the protected VM (ops surface and fleet key).
+	// VM identifies the protected VM (ops surface and session-table key).
 	VM string
 	// App names the profiled application.
 	App string
@@ -334,12 +334,3 @@ func (s *Session) Close() (SessionStats, error) {
 	}
 	return st, nil
 }
-
-// detectorView adapts a Session to detect.Detector so it can be registered
-// in a detect.Fleet; session methods carry their own locking.
-type detectorView struct{ s *Session }
-
-func (v detectorView) Name() string           { return v.s.Name() }
-func (v detectorView) Observe(smp pcm.Sample) { _ = v.s.Observe(smp) }
-func (v detectorView) Alarmed() bool          { return v.s.Alarmed() }
-func (v detectorView) Alarms() []detect.Alarm { return v.s.Alarms() }

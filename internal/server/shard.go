@@ -5,19 +5,18 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/memdos/sds/internal/detect"
 )
 
 // The ingest plane is sharded: the server owns Options.Shards ingest
 // shards (default runtime.GOMAXPROCS(0)), and every network stream is
 // affine to exactly one of them for its whole life. Affinity is derived
 // from the VM name, not the accepting listener: ingest shard =
-// fleet.Stripe(vm) mod shard count. That keys the shard off the same
-// FNV-1a striping the detect.Fleet registry uses, so one ingest shard's
-// VMs occupy a disjoint subset of the fleet's 64 stripes — Protect and
-// Unprotect traffic from different shards never meets on a stripe lock,
-// and a VM that disconnects and resumes always lands back on the same
-// shard (the affinity invariant the race tests pin: one VM's samples are
-// never observed from two shards concurrently).
+// detect.Stripe(vm) mod shard count, so a VM that disconnects and resumes
+// always lands back on the same shard (the affinity invariant the race
+// tests pin: one VM's samples are never observed from two shards
+// concurrently). In-process streams count into their VM's shard row too.
 //
 // On Linux, each shard runs an epoll event loop (see epoll_linux.go) that
 // owns its connections' binary-frame ingest: one bounded worker services
@@ -38,7 +37,8 @@ type ingestShard struct {
 	id  int
 	srv *Server
 
-	// Hot counters, exported per shard on /metricsz.
+	// Hot counters, exported per shard on /metricsz. They are the server's
+	// only ingest counters: the /metricsz totals are their sums.
 	conns       atomic.Int64  // streams currently attached to this shard
 	samples     atomic.Uint64 // samples ingested via this shard
 	frames      atomic.Uint64 // binary frames decoded by this shard
@@ -54,7 +54,7 @@ type ingestShard struct {
 
 // shardFor maps a VM name to its ingest shard.
 func (s *Server) shardFor(vm string) *ingestShard {
-	return s.shards[s.fleet.Stripe(vm)%len(s.shards)]
+	return s.shards[detect.Stripe(vm)%len(s.shards)]
 }
 
 // eventLoop returns the shard's event loop, starting it on first use.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/memdos/sds/internal/detect"
 	"github.com/memdos/sds/internal/feed"
 	"github.com/memdos/sds/internal/pcm"
 )
@@ -113,8 +114,9 @@ func TestListenShardsFallback(t *testing.T) {
 // samples are accounted on exactly the shard its name stripes to, no
 // matter which accept queue or decode path (event loop vs pump) carried
 // them. With concurrent binary streams on all shards, any cross-shard
-// observation shows up as a counter mismatch — and as a data race on the
-// shard-striped fleet state.
+// observation shows up as a counter mismatch — and as a data race on
+// session state. The expected shard comes from detect.Stripe, the one
+// stripe function the detect.Fleet registry uses too.
 func TestShardAffinity(t *testing.T) {
 	const (
 		vms     = 16
@@ -142,7 +144,7 @@ func TestShardAffinity(t *testing.T) {
 
 	expected := make([]uint64, len(s.shards))
 	for i := 0; i < vms; i++ {
-		expected[s.fleet.Stripe(fmt.Sprintf("aff-%02d", i))%len(s.shards)] += total
+		expected[detect.Stripe(fmt.Sprintf("aff-%02d", i))%len(s.shards)] += total
 	}
 	var sum uint64
 	for i, sh := range s.shards {

@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -142,6 +143,90 @@ func TestStdDevShiftInvariantProperty(t *testing.T) {
 		return math.Abs(StdDev(x)-StdDev(y)) < 1e-7*(1+StdDev(x))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// maSettlesAfter streams data through a W/ΔW averager and checks every
+// emission whose window holds no index in huge against the exact window
+// mean, to within 1e-9 relative. It returns the first violation, if any.
+func maSettlesAfter(t *testing.T, data []float64, huge map[int]bool, w, dw int) (bad string) {
+	t.Helper()
+	m, err := NewMovingAverager(w, dw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := -1 << 30 // index of the newest huge value pushed so far
+	for i, x := range data {
+		if huge[i] {
+			last = i
+		}
+		v, ok := m.Push(x)
+		if !ok || i-last < w {
+			continue
+		}
+		var exact float64
+		for _, y := range data[i-w+1 : i+1] {
+			exact += y
+		}
+		exact /= float64(w)
+		if !(math.Abs(v-exact) <= 1e-9*math.Abs(exact)) {
+			return fmt.Sprintf("at %d (W=%d ΔW=%d): MA %v, exact window mean %v", i, w, dw, v, exact)
+		}
+	}
+	return ""
+}
+
+// TestMovingAverageRecoversFromGlitch: one huge admitted value, or two that
+// overflow the running sum to +Inf, must not bias the MA once they have left
+// the window (a counter glitch of 1e25 used to leave it 99% low for good).
+func TestMovingAverageRecoversFromGlitch(t *testing.T) {
+	for _, glitch := range [][]float64{{1e12}, {1e16}, {1e20}, {1e25}, {math.MaxFloat64}, {1.7e308, 1.7e308}} {
+		r := randx.New(7, 8)
+		data := make([]float64, 2000)
+		for i := range data {
+			data[i] = r.Uniform(1.9e5, 2.6e5)
+		}
+		huge := map[int]bool{}
+		for k, g := range glitch {
+			data[1000+k] = g
+			huge[1000+k] = true
+		}
+		if bad := maSettlesAfter(t, data, huge, 200, 50); bad != "" {
+			t.Errorf("glitch %v: %s", glitch, bad)
+		}
+	}
+}
+
+// TestMovingAverageSettlesProperty: for random window geometry and counter
+// streams with bursts of values anywhere up to MaxFloat64, the streamed MA
+// equals the exact window mean once every huge value has left the window.
+func TestMovingAverageSettlesProperty(t *testing.T) {
+	r := randx.New(44, 45)
+	f := func() bool {
+		w := 1 + r.IntN(256)
+		dw := 1 + r.IntN(w)
+		data := make([]float64, 4*w+400)
+		for i := range data {
+			data[i] = r.Uniform(0, 1e6)
+		}
+		huge := map[int]bool{}
+		for k := r.IntN(6); k >= 0; k-- {
+			i := r.IntN(len(data) - 3)
+			for run := 1 + r.IntN(3); run > 0; run-- {
+				// Log-uniform over [1e7, MaxFloat64].
+				data[i] = math.Min(math.Pow(10, r.Uniform(7, 309)), math.MaxFloat64)
+				huge[i] = true
+				i++
+			}
+		}
+		if bad := maSettlesAfter(t, data, huge, w, dw); bad != "" {
+			t.Log(bad)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

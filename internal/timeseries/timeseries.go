@@ -26,6 +26,12 @@ type MovingAverager struct {
 	since int // samples since last emission
 }
 
+// healRatio is how far an evicted value may outweigh the rest of the
+// window before Push recomputes the sum. The rounding error a value leaves
+// in the sum is at most about W·2^-53 of its size, so at 2^10 the rest
+// keeps about 2e-11 relative accuracy for the Table 1 window (W = 200).
+const healRatio = 1 << 10
+
 // NewMovingAverager returns a streaming moving averager with window size w
 // and step size dw.
 func NewMovingAverager(w, dw int) (*MovingAverager, error) {
@@ -50,18 +56,32 @@ func (m *MovingAverager) Step() int { return m.dw }
 // subtract and the insertion add stay separate statements — fusing them into
 // sum += x - old changes the rounding and would break the bit-exact golden
 // transcripts.
+//
+// The running sum heals itself. When the evicted value outweighs what
+// remains by more than healRatio (or the sum is NaN), the rounding error the
+// evicted value left behind can swamp the rest, so the sum is recomputed
+// from the ring. An infinite sum, which the ratio test cannot see, is
+// recomputed at the next emission. Ordinary streams take neither branch.
 func (m *MovingAverager) Push(x float64) (float64, bool) {
 	if m.count >= m.w {
-		m.sum -= m.buf[m.next]
+		old := m.buf[m.next]
+		m.sum -= old
 		m.buf[m.next] = x
 		// Conditional wrap: integer division is measurably slower than a
 		// predictable branch on this per-sample path.
 		if m.next++; m.next == m.w {
 			m.next = 0
 		}
-		m.sum += x
+		if math.Abs(old) <= healRatio*math.Abs(m.sum) {
+			m.sum += x
+		} else {
+			m.resum()
+		}
 		if m.since++; m.since == m.dw {
 			m.since = 0
+			if math.IsInf(m.sum, 0) {
+				m.resum()
+			}
 			return m.sum / float64(m.w), true
 		}
 		return 0, false
@@ -77,6 +97,14 @@ func (m *MovingAverager) Push(x float64) (float64, bool) {
 	}
 	m.since = 0
 	return m.sum / float64(m.w), true
+}
+
+// resum recomputes the running sum from the full ring.
+func (m *MovingAverager) resum() {
+	m.sum = 0
+	for _, v := range m.buf {
+		m.sum += v
+	}
 }
 
 // Reset discards all buffered samples.
