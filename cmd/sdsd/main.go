@@ -45,20 +45,19 @@ func main() {
 		scheme         = flag.String("scheme", "sds", "default detection scheme: sds, sdsb, sdsp, kstest, cusum, timefrag or ewmavar")
 		app            = flag.String("app", "monitored-vm", "default application name for profiles")
 		profileSeconds = flag.Float64("profile-seconds", 900, "default Stage-1 profile window in stream seconds")
-		buffer         = flag.Int("buffer", 1024, "per-connection sample buffer (full buffer backpressures the client)")
 		shards         = flag.Int("shards", 0, "ingest shards and SO_REUSEPORT accept queues (0 = GOMAXPROCS)")
 		fdLimit        = flag.Uint64("fd-limit", 131072, "raise RLIMIT_NOFILE to at least this many fds (best effort; 0 = leave as is)")
 		quiet          = flag.Bool("quiet", false, "suppress per-stream log lines (scale runs: logging 100k streams costs more than ingesting them)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "how long a shutdown drain may take before connections are force-closed")
 	)
 	flag.Parse()
-	if err := run(*listen, *unixPath, *ops, *scheme, *app, *profileSeconds, *buffer, *shards, *fdLimit, *quiet, *drainTimeout); err != nil {
+	if err := run(*listen, *unixPath, *ops, *scheme, *app, *profileSeconds, *shards, *fdLimit, *quiet, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "sdsd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, unixPath, ops, scheme, app string, profileSeconds float64, buffer, shards int, fdLimit uint64, quiet bool, drainTimeout time.Duration) error {
+func run(listen, unixPath, ops, scheme, app string, profileSeconds float64, shards int, fdLimit uint64, quiet bool, drainTimeout time.Duration) error {
 	if listen == "" && unixPath == "" {
 		return fmt.Errorf("need at least one stream listener (-listen or -unix)")
 	}
@@ -71,7 +70,6 @@ func run(listen, unixPath, ops, scheme, app string, profileSeconds float64, buff
 		Scheme:         scheme,
 		App:            app,
 		ProfileSeconds: profileSeconds,
-		BufferSamples:  buffer,
 		Shards:         shards,
 		Logf:           log.Printf,
 	}

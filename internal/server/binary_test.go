@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -202,6 +205,92 @@ func TestServerBinaryFramingErrorIsFatal(t *testing.T) {
 	}
 }
 
+// scriptedConn is the server end of a net.Pipe whose reads replay a fixed
+// client stream and then EOF, like a client that half-closed its write
+// side (net.Pipe has no half-close); response lines still go over the
+// pipe. It is not a syscall.Conn, so no event loop can own it and its
+// binary streams are read by the goroutine pump.
+type scriptedConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c *scriptedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
+// runPipe streams hs and body to s through handleConn on a scriptedConn
+// and collects every response line.
+func runPipe(t *testing.T, s *Server, hs string, body []byte) clientResult {
+	t.Helper()
+	cl, sv := net.Pipe()
+	defer cl.Close()
+	stream := append([]byte(hs+"\n"), body...)
+	return readResponses(t, cl, func() {
+		go s.handleConn(&scriptedConn{Conn: sv, r: bytes.NewReader(stream)})
+	})
+}
+
+// TestServerBinaryPumpMatchesEventLoop: the goroutine pump and the socket
+// path (the shard event loop on Linux) give the same transcript and the
+// same /metricsz counters for the same bytes — an attacked stream with one
+// non-finite sample, and the same stream cut inside its final frame.
+func TestServerBinaryPumpMatchesEventLoop(t *testing.T) {
+	var samples []pcm.Sample
+	if _, err := simulateStream(ReplaySpec{App: "kmeans", Seconds: 160, AttackAt: 100, Seed: 7}, func(s pcm.Sample) error {
+		samples = append(samples, s)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	samples[len(samples)/2].Miss = math.Inf(1) // monitored, before the attack
+	var b bytes.Buffer
+	w := feed.NewBinWriter(&b)
+	if err := w.WriteBatch(samples); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.End(); err != nil {
+		t.Fatal(err)
+	}
+	clean := b.Bytes()
+	cut := clean[:len(clean)-1-10] // no end frame, final payload short by 10 bytes
+
+	const hs = "sds/1 vm=pump app=kmeans scheme=sds profile=60 frames=bin"
+	for _, tc := range []struct {
+		name    string
+		body    []byte
+		wantErr string
+	}{
+		{"attack", clean, ""},
+		{"truncated", cut, "truncated payload"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sock, addr := startServer(t, Options{})
+			want := runClient(t, addr, hs, tc.body)
+			pipe := New(Options{})
+			got := runPipe(t, pipe, hs, tc.body)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("pump transcript differs from the socket path's:\npump:   %+v %+v\nsocket: %+v %+v", got, got.done, want, want.done)
+			}
+			if want.done == nil || len(want.alarmLines) == 0 {
+				t.Fatalf("socket transcript has done=%v and %d alarms, want a done line and alarms", want.done, len(want.alarmLines))
+			}
+			switch {
+			case tc.wantErr == "" && len(want.errorLines) != 0:
+				t.Errorf("clean stream errored: %v", want.errorLines)
+			case tc.wantErr != "" && (len(want.errorLines) != 1 || !strings.Contains(want.errorLines[0], tc.wantErr)):
+				t.Errorf("error lines = %v, want one %q error", want.errorLines, tc.wantErr)
+			}
+			ms, mp := sock.Metrics(), pipe.Metrics()
+			if ms.TotalQuarantined != 1 {
+				t.Errorf("socket path quarantined %d samples, want 1", ms.TotalQuarantined)
+			}
+			if mp.TotalBinFrames != ms.TotalBinFrames || mp.TotalQuarantined != ms.TotalQuarantined || mp.TotalSamples != ms.TotalSamples {
+				t.Errorf("pump counters frames=%d quarantined=%d samples=%d, socket path frames=%d quarantined=%d samples=%d",
+					mp.TotalBinFrames, mp.TotalQuarantined, mp.TotalSamples, ms.TotalBinFrames, ms.TotalQuarantined, ms.TotalSamples)
+			}
+		})
+	}
+}
+
 // TestServerBinaryManyConcurrentStreams: the binary plane keeps the
 // zero-loss contract under concurrency (run with -race in CI).
 func TestServerBinaryManyConcurrentStreams(t *testing.T) {
@@ -210,7 +299,7 @@ func TestServerBinaryManyConcurrentStreams(t *testing.T) {
 		tpcm  = 0.01
 		total = 3000
 	)
-	s, addr := startServer(t, Options{ProfileSeconds: 20, BufferSamples: 2048})
+	s, addr := startServer(t, Options{ProfileSeconds: 20})
 	var wg sync.WaitGroup
 	results := make([]clientResult, vms)
 	for i := 0; i < vms; i++ {

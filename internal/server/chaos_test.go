@@ -141,7 +141,7 @@ func TestServerChaosSuite(t *testing.T) {
 		{vm: "zoo-ewmavar", scheme: "ewmavar", faults: faultinject.Faults{Seed: 107, SkipLines: 2, CorruptEvery: 13, PartialWriteMax: 9}, hasDone: true, mayMiss: true},
 	}
 
-	s, addr := startServer(t, Options{ProfileSeconds: 60, BufferSamples: 256})
+	s, addr := startServer(t, Options{ProfileSeconds: 60})
 	type outcome struct {
 		res     clientResult
 		ok, bad int
@@ -344,7 +344,7 @@ func TestServerResumesProfilingSession(t *testing.T) {
 // still draining, a reconnect for the same id is rejected as a duplicate —
 // the resume path never splits one VM across two live connections.
 func TestServerResumeRacesNewConnection(t *testing.T) {
-	s, addr := startServer(t, Options{ProfileSeconds: 20, BufferSamples: 8})
+	s, addr := startServer(t, Options{ProfileSeconds: 20})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +409,7 @@ func TestServerIdleEviction(t *testing.T) {
 // being ingested and torn down; under -race it audits every counter the
 // /metricsz report touches.
 func TestMetricsConcurrentScrape(t *testing.T) {
-	s, addr := startServer(t, Options{ProfileSeconds: 5, BufferSamples: 32, Shards: 4})
+	s, addr := startServer(t, Options{ProfileSeconds: 5, Shards: 4})
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup
 	for i := 0; i < 4; i++ {

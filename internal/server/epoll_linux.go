@@ -4,8 +4,6 @@ package server
 
 import (
 	"fmt"
-	"io"
-	"net"
 	"os"
 	"sync"
 	"syscall"
@@ -31,28 +29,11 @@ const epollWriteTimeout = 5 * time.Second
 // finite so a still-streaming client cannot hold the drain open.
 const drainReadBudget = 1 << 20
 
-// epConn is one event-loop-owned binary stream. Fields are owned by the
-// shard loop after registration; the handshake goroutine hands the
-// connection off through epollLoop.add and never touches it again.
-type epConn struct {
-	fd      int32
-	conn    net.Conn
-	cw      *connWriter
-	st      *vmState
-	sess    *Session
-	vm      string
-	resumed bool
-	resumeT float64
-
-	scan     feed.FrameScanner
-	carry    []byte // partial trailing frame from the previous window
-	lastData int64  // sinceStart nanos of the last byte received
-	procErr  error  // sticky session error; stream drains to EOF discarded
-}
-
 // epollLoop is one shard's event loop: a single goroutine multiplexing
 // every epoll-capable connection on the shard over one epoll instance,
-// one 256 KiB block-read buffer, and one decode batch.
+// one 256 KiB block-read buffer, and one decode batch. The connections
+// are ingestConns; the loop owns them after registration (the handshake
+// goroutine hands one off through add and never touches it again).
 type epollLoop struct {
 	shard *ingestShard
 	srv   *Server
@@ -61,11 +42,11 @@ type epollLoop struct {
 	wakeW int
 
 	mu      sync.Mutex
-	pending []*epConn
+	pending []*ingestConn
 	stopped bool
 
 	// Loop-owned state below; never touched off the loop goroutine.
-	conns   map[int32]*epConn
+	conns   map[int32]*ingestConn
 	readBuf []byte
 	batch   []pcm.Sample
 	events  []syscall.EpollEvent
@@ -88,9 +69,9 @@ func newEpollLoop(sh *ingestShard) (*epollLoop, error) {
 		epfd:    epfd,
 		wakeR:   p[0],
 		wakeW:   p[1],
-		conns:   make(map[int32]*epConn),
-		readBuf: make([]byte, 256*1024+feed.MaxFrameSamples*24+8),
-		batch:   make([]pcm.Sample, 0, batchCap(sh.srv.opts.BufferSamples)),
+		conns:   make(map[int32]*ingestConn),
+		readBuf: make([]byte, 256*1024+maxCarry),
+		batch:   make([]pcm.Sample, 0, 4*feed.MaxFrameSamples),
 		events:  make([]syscall.EpollEvent, 128),
 	}
 	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(p[0])}
@@ -100,15 +81,6 @@ func newEpollLoop(sh *ingestShard) (*epollLoop, error) {
 	}
 	go l.run()
 	return l, nil
-}
-
-// batchCap sizes the shard decode batch: at least four full frames per
-// ObserveBatch pass, or the configured buffer when it is larger.
-func batchCap(bufferSamples int) int {
-	if n := 4 * feed.MaxFrameSamples; bufferSamples < n {
-		return n
-	}
-	return bufferSamples
 }
 
 func (l *epollLoop) closeFDs() {
@@ -126,7 +98,7 @@ func (l *epollLoop) wake() {
 // add hands a handshook connection to the loop. The caller must already
 // hold a server wg slot for it; the loop releases the slot at finalize.
 // An error means the loop has stopped and the caller keeps ownership.
-func (l *epollLoop) add(ec *epConn) error {
+func (l *epollLoop) add(ec *ingestConn) error {
 	l.mu.Lock()
 	if l.stopped {
 		l.mu.Unlock()
@@ -196,9 +168,8 @@ func (l *epollLoop) run() {
 		}
 		if idle > 0 && now-lastSweep >= sweepEvery {
 			lastSweep = now
-			for fd, ec := range l.conns {
+			for _, ec := range l.conns {
 				if now-ec.lastData > int64(idle) {
-					_ = fd
 					l.finalize(ec, nil, true)
 				}
 			}
@@ -247,7 +218,7 @@ const epollRDHUP = 0x2000
 // until the kernel buffer is empty (or the drain budget is spent) instead
 // of relying on another readiness event. Terminal conditions finalize the
 // connection inline.
-func (l *epollLoop) service(ec *epConn, now int64, drain bool) {
+func (l *epollLoop) service(ec *ingestConn, now int64, drain bool) {
 	budget := drainReadBudget
 	for {
 		cl := copy(l.readBuf, ec.carry)
@@ -286,113 +257,34 @@ func (l *epollLoop) service(ec *epConn, now int64, drain bool) {
 	}
 }
 
-// decode walks every complete frame in window, batching samples into the
-// shard batch and observing them in bulk. eof marks the stream's end: a
-// leftover partial frame is then a truncation error. Returns true when
-// the connection was finalized.
-func (l *epollLoop) decode(ec *epConn, window []byte, eof bool) bool {
-	batch := l.batch[:0]
-	pos := 0
-	for {
-		if cap(batch)-len(batch) < feed.MaxFrameSamples {
-			l.flush(ec, batch)
-			batch = l.batch[:0]
-		}
-		dst := batch[len(batch):len(batch)]
-		consumed, n, q, err := ec.scan.Next(window[pos:], dst)
-		if q > 0 {
-			ec.st.quarantined.Add(uint64(q))
-			l.shard.quarantined.Add(uint64(q))
-			l.srv.logf("vm %s: quarantined %d non-finite samples in frame %d", ec.vm, q, ec.scan.Frames())
-		}
-		if err == io.EOF {
-			l.flush(ec, batch)
-			l.finalize(ec, nil, false)
-			return true
-		}
-		if err != nil {
-			l.flush(ec, batch)
-			l.finalize(ec, err, false)
-			return true
-		}
-		if consumed == 0 {
-			break // partial frame: carry the tail
-		}
-		pos += consumed
-		l.shard.frames.Add(1)
-		if ec.resumed {
-			k := 0
-			for _, smp := range dst[:n] {
-				if smp.T > ec.resumeT {
-					dst[k] = smp
-					k++
-				}
-			}
-			n = k
-		}
-		batch = batch[:len(batch)+n]
+// decode runs the connection's frame decode over window with the shard
+// batch, finalizing the connection when its stream ended. Returns true
+// when the connection was finalized.
+func (l *epollLoop) decode(ec *ingestConn, window []byte, eof bool) bool {
+	ended, err := ec.decode(window, l.batch, eof)
+	if ended {
+		l.finalize(ec, err, false)
 	}
-	l.flush(ec, batch)
-	tail := window[pos:]
-	if eof {
-		l.finalize(ec, ec.scan.Truncated(tail), false)
-		return true
-	}
-	ec.carry = append(ec.carry[:0], tail...)
-	return false
+	return ended
 }
 
-// flush observes a batched run of samples under one session lock.
-func (l *epollLoop) flush(ec *epConn, batch []pcm.Sample) {
-	if len(batch) == 0 || ec.procErr != nil {
-		return
-	}
-	n, err := ec.sess.ObserveBatch(batch)
-	l.shard.samples.Add(uint64(n))
-	if err != nil {
-		ec.procErr = err
-	}
-}
-
-// finalize ends one event-loop stream: VM slot release, session close,
-// error/done lines (under the loop write deadline), connection close, wg
-// slot release. Mirrors the tail of the goroutine handler byte for byte.
-func (l *epollLoop) finalize(ec *epConn, readErr error, evicted bool) {
+// finalize ends one event-loop stream: the shared error/done tail (under
+// the loop write deadline), then connection close and wg slot release.
+func (l *epollLoop) finalize(ec *ingestConn, readErr error, evicted bool) {
 	delete(l.conns, ec.fd)
 	syscall.EpollCtl(l.epfd, syscall.EPOLL_CTL_DEL, int(ec.fd), nil)
-	l.shard.conns.Add(-1)
-
-	s := l.srv
-	ec.st.connected.Store(false)
-	stats, closeErr := ec.sess.Close()
-	if evicted {
-		s.idleEvictions.Add(1)
-	}
-	switch {
-	case ec.procErr != nil:
-		ec.cw.line("error: %v", ec.procErr)
-	case readErr != nil:
-		ec.cw.line("error: %v", readErr)
-	case evicted:
-		ec.cw.line("error: idle timeout: no samples for %v", s.opts.IdleTimeout)
-	case closeErr != nil:
-		ec.cw.line("error: %v", closeErr)
-	}
-	ec.cw.line("done vm=%s samples=%d monitored=%d dropped=%d alarms=%d",
-		ec.vm, stats.Ingested(), stats.Monitored, stats.Dropped, stats.Alarms)
-	s.logf("vm %s: stream closed (%d samples, %d dropped, %d alarms, alarmed=%v)",
-		ec.vm, stats.Ingested(), stats.Dropped, stats.Alarms, stats.Alarmed)
+	ec.finish(readErr, evicted)
 	ec.conn.Close()
-	s.wg.Done()
+	l.srv.wg.Done()
 }
 
 // tryEventLoopHandoff moves a handshook binary stream onto its shard's
 // event loop. Returns true when ownership transferred: the caller must
-// not touch conn again — the loop owns the read side, the response lines,
-// the close, and the server wg slot. leftover holds stream bytes the
-// handshake reader had already buffered.
-func (s *Server) tryEventLoopHandoff(conn net.Conn, sh *ingestShard, cw *connWriter, st *vmState, sess *Session, vm string, resumed bool, resumeT float64, leftover []byte) bool {
-	sc, ok := conn.(syscall.Conn)
+// not touch the connection again — the loop owns the read side, the
+// response lines, the close, and the server wg slot. On false the conn may
+// have been untracked; the caller re-tracks it and pumps it itself.
+func (s *Server) tryEventLoopHandoff(c *ingestConn) bool {
+	sc, ok := c.conn.(syscall.Conn)
 	if !ok {
 		return false
 	}
@@ -400,46 +292,29 @@ func (s *Server) tryEventLoopHandoff(conn net.Conn, sh *ingestShard, cw *connWri
 	if err != nil {
 		return false
 	}
-	fd := int32(-1)
-	if err := raw.Control(func(f uintptr) { fd = int32(f) }); err != nil || fd < 0 {
+	c.fd = -1
+	if err := raw.Control(func(f uintptr) { c.fd = int32(f) }); err != nil || c.fd < 0 {
 		return false
 	}
-	ep := sh.eventLoop()
+	ep := c.shard.eventLoop()
 	if ep == nil {
 		return false
 	}
-	ec := &epConn{
-		fd:      fd,
-		conn:    conn,
-		cw:      cw,
-		st:      st,
-		sess:    sess,
-		vm:      vm,
-		resumed: resumed,
-		resumeT: resumeT,
-	}
-	if len(leftover) > 0 {
-		ec.carry = append(ec.carry, leftover...)
-	}
 	// Response lines written from the loop must not be able to stall the
 	// whole shard on one wedged client.
-	cw.conn = conn
-	cw.writeTimeout = epollWriteTimeout
+	c.cw.writeTimeout = epollWriteTimeout
 	// The loop owns the close from here; take the conn out of the
 	// goroutine-path tracking map so Shutdown neither deadline-interrupts
 	// nor force-closes an fd the loop is still servicing.
 	s.mu.Lock()
-	delete(s.conns, conn)
+	delete(s.conns, c.conn)
 	s.mu.Unlock()
 	s.wg.Add(1)
-	if err := ep.add(ec); err != nil {
-		// Loop already stopped (shutdown race): fall back to the goroutine
-		// pump, which observes the draining flag normally.
+	if err := ep.add(c); err != nil {
+		// Loop already stopped (shutdown race): the caller's re-track arms
+		// Shutdown's read interrupt and its goroutine pump drains the conn.
 		s.wg.Done()
-		cw.conn, cw.writeTimeout = nil, 0
-		s.mu.Lock()
-		s.conns[conn] = nil
-		s.mu.Unlock()
+		c.cw.writeTimeout = 0
 		return false
 	}
 	return true

@@ -2,10 +2,7 @@
 
 package server
 
-import (
-	"errors"
-	"net"
-)
+import "errors"
 
 // epollLoop is Linux-only; elsewhere every connection uses the
 // per-connection goroutine pumps and the shard is a bookkeeping unit.
@@ -18,6 +15,4 @@ func newEpollLoop(sh *ingestShard) (*epollLoop, error) {
 func (l *epollLoop) wake() {}
 
 // tryEventLoopHandoff never takes ownership off Linux.
-func (s *Server) tryEventLoopHandoff(conn net.Conn, sh *ingestShard, cw *connWriter, st *vmState, sess *Session, vm string, resumed bool, resumeT float64, leftover []byte) bool {
-	return false
-}
+func (s *Server) tryEventLoopHandoff(c *ingestConn) bool { return false }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/memdos/sds/internal/detect"
+	"github.com/memdos/sds/internal/pcm"
 )
 
 // scrape decodes one /metricsz response.
@@ -108,5 +109,48 @@ func TestMetricsInProcessShardRows(t *testing.T) {
 	}
 	if sum != m.TotalSamples || m.TotalSamples != total {
 		t.Errorf("shard rows sum to %d, total_samples %d, want %d", sum, m.TotalSamples, total)
+	}
+}
+
+// TestStreamObserveBatchCountsShardRow: batches fed through an in-process
+// stream count on the VM's shard row and in total_samples, like a
+// connection's batches.
+func TestStreamObserveBatchCountsShardRow(t *testing.T) {
+	const (
+		shards = 4
+		total  = 2000
+	)
+	s := New(Options{ProfileSeconds: 12, Shards: shards})
+	st, err := s.OpenStream(StreamSpec{VM: "batched"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]pcm.Sample, 0, 250)
+	for k := 0; k < total; k++ {
+		batch = append(batch, synthSample(k, 0.01, 100))
+		if len(batch) == cap(batch) {
+			if n, err := st.ObserveBatch(batch); err != nil || n != len(batch) {
+				t.Fatalf("ObserveBatch = %d, %v; want %d, nil", n, err, len(batch))
+			}
+			batch = batch[:0]
+		}
+	}
+
+	m := scrape(t, s)
+	if m.TotalSamples != total {
+		t.Errorf("total_samples = %d, want %d", m.TotalSamples, total)
+	}
+	home := detect.Stripe("batched") % shards
+	for i, row := range m.Shards {
+		want := uint64(0)
+		if i == home {
+			want = total
+		}
+		if row.Samples != want {
+			t.Errorf("shard %d row counts %d samples, want %d", i, row.Samples, want)
+		}
+	}
+	if got := st.Session().Stats().Ingested(); got != total {
+		t.Errorf("session ingested %d samples, want %d", got, total)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"github.com/memdos/sds/internal/detect"
-	"github.com/memdos/sds/internal/feed"
 	"github.com/memdos/sds/internal/pcm"
 )
 
@@ -26,10 +24,10 @@ import (
 //
 // followed by the telemetry stream in the negotiated encoding: feed CSV
 // (`t,access,miss` lines; header and '#' comments allowed — the default)
-// or, with `frames=bin`, the compact binary frame format of
-// feed.BinReader (batched 24-byte little-endian sample records; see
-// internal/feed/binary.go for the wire grammar). Key=value fields may
-// appear in any order; omitted fields fall back to the server's defaults.
+// or, with `frames=bin`, the compact binary frame format (batched
+// 24-byte little-endian sample records; internal/feed/binary.go holds the
+// wire grammar). Key=value fields may appear in any order; omitted fields
+// fall back to the server's defaults.
 // The server answers with line-oriented text responses on the same
 // connection regardless of the stream encoding:
 //
@@ -65,12 +63,6 @@ type Options struct {
 	ProfileSeconds float64
 	Config         detect.Config
 	KSConfig       detect.KSTestConfig
-	// BufferSamples bounds the samples buffered between reading and
-	// observing (default 1024): the per-connection batch of the goroutine
-	// pumps, and a floor for the shard event loop's decode batch. When
-	// observation falls behind, reading stops — backpressure propagates to
-	// the client through TCP instead of growing memory.
-	BufferSamples int
 	// Shards is the number of ingest shards (default runtime.GOMAXPROCS(0)).
 	// Every stream is affine to one shard — shard = detect.Stripe of the VM
 	// name mod Shards — so shard-local state never crosses shards; see
@@ -149,9 +141,6 @@ func New(opts Options) *Server {
 	}
 	if opts.KSConfig == (detect.KSTestConfig{}) {
 		opts.KSConfig = detect.DefaultKSTestConfig()
-	}
-	if opts.BufferSamples <= 0 {
-		opts.BufferSamples = 1024
 	}
 	if opts.MaxResumes == 0 {
 		opts.MaxResumes = 3
@@ -371,7 +360,7 @@ func (s *Server) handleConn(conn net.Conn) {
 // serveConn handshakes one VM stream and ingests it: binary streams on
 // socket conns hand off to their shard's event loop right after the ok
 // line; everything else (CSV, non-socket conns, platforms without the
-// loop) runs an inline pump on this goroutine. Returns whether ownership
+// loop) runs a goroutine pump on this goroutine. Returns whether ownership
 // transferred to an event loop.
 func (s *Server) serveConn(conn net.Conn) (handed bool) {
 	cw := &connWriter{w: bufio.NewWriter(conn), conn: conn}
@@ -384,54 +373,70 @@ func (s *Server) serveConn(conn net.Conn) (handed bool) {
 		rb.SetReadBuffer(256 * 1024)
 	}
 	var act *connActivity
-	src := conn
+	var src io.Reader = conn
 	if s.opts.IdleTimeout > 0 {
 		act = &connActivity{}
 		src = &sweptConn{Conn: conn, act: act, srv: s}
-		s.mu.Lock()
-		s.conns[conn] = act
-		s.mu.Unlock()
+		s.track(conn, act)
 		s.startSweeper() // covers handlers invoked outside Serve
 	}
-	// The 64 KiB read buffer is recycled across connections: allocating and
-	// zeroing one per conn is ~640 MB of memory traffic at 10k streams.
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(src)
-	putReader := func() {
-		br.Reset(nil) // drop the conn reference before pooling
-		readerPool.Put(br)
+	c, bin := s.open(conn, cw, br)
+	switch {
+	case c == nil:
+		putReader(br)
+		return false
+	case !bin:
+		c.finish(c.pumpCSV(br, act))
+		putReader(br)
+		return false
 	}
+	// Stream bytes the handshake reader buffered past the handshake line
+	// travel with the connection, whichever driver reads it.
+	if n := br.Buffered(); n > 0 {
+		peek, _ := br.Peek(n)
+		c.carry = append(c.carry, peek...)
+	}
+	putReader(br)
+	if s.tryEventLoopHandoff(c) {
+		return true
+	}
+	s.track(conn, act) // a failed handoff has untracked the conn
+	c.finish(c.pumpFrames(src, act))
+	return false
+}
+
+// open reads the handshake, binds the stream to its VM and answers the ok
+// line. It returns nil when the stream cannot start (the client is told
+// why where the connection still takes a line), and whether the stream
+// negotiated binary frames.
+func (s *Server) open(conn net.Conn, cw *connWriter, br *bufio.Reader) (c *ingestConn, bin bool) {
 	h, err := readHandshake(br)
 	if err != nil {
-		putReader()
 		cw.line("error: %v", err)
-		return false
+		return nil, false
 	}
 	st, resumed, err := s.attach(s.withDefaults(StreamSpec{
 		VM: h.vm, App: h.app, Scheme: h.scheme, ProfileSeconds: h.profileSeconds,
 	}), cw)
 	if err != nil {
-		putReader()
 		cw.line("error: %v", err)
-		return false
+		return nil, false
 	}
-	sess, spec := st.sess, st.sess.spec
-	sh := s.shardFor(h.vm)
-	sh.conns.Add(1)
-	// A resumed client replays its stream from the start; samples at or
-	// before the high-water mark were already ingested and are skipped so
-	// the session sees each sample exactly once, in order.
-	var resumeT float64
-	binFrames := h.frames == framesBin
+	spec := st.sess.spec
+	c = &ingestConn{shard: s.shardFor(h.vm), conn: conn, cw: cw, st: st, vm: h.vm, resumed: resumed}
+	c.shard.conns.Add(1)
+	bin = h.frames == framesBin
 	var framesSuffix string
-	if binFrames {
+	if bin {
 		framesSuffix = " frames=bin"
 	}
 	if resumed {
-		resumeT = sess.Stats().LastT
-		s.logf("vm %s: stream resumed (resume %d, last_t=%g)", h.vm, st.resumes, resumeT)
+		c.resumeT = st.sess.Stats().LastT
+		s.logf("vm %s: stream resumed (resume %d, last_t=%g)", h.vm, st.resumes, c.resumeT)
 		err = cw.line("ok vm=%s app=%s scheme=%s profile=%g resumed=%d last_t=%g%s",
-			h.vm, spec.App, spec.Scheme, spec.ProfileSeconds, st.resumes, resumeT, framesSuffix)
+			h.vm, spec.App, spec.Scheme, spec.ProfileSeconds, st.resumes, c.resumeT, framesSuffix)
 	} else {
 		s.logf("vm %s: stream open (app=%s scheme=%s profile=%gs frames=%s)",
 			h.vm, spec.App, spec.Scheme, spec.ProfileSeconds, orCSV(h.frames))
@@ -439,59 +444,24 @@ func (s *Server) serveConn(conn net.Conn) (handed bool) {
 			h.vm, spec.App, spec.Scheme, spec.ProfileSeconds, framesSuffix)
 	}
 	if err != nil {
-		putReader()
-		sh.conns.Add(-1)
+		c.shard.conns.Add(-1)
 		st.connected.Store(false)
-		return false
+		return nil, false
 	}
+	return c, bin
+}
 
-	if binFrames {
-		// Stream bytes the handshake reader buffered past the handshake line
-		// must travel with the connection.
-		var leftover []byte
-		if n := br.Buffered(); n > 0 {
-			peek, _ := br.Peek(n)
-			leftover = append([]byte(nil), peek...)
-		}
-		if s.tryEventLoopHandoff(conn, sh, cw, st, sess, h.vm, resumed, resumeT, leftover) {
-			putReader()
-			return true
-		}
-		if act != nil {
-			// A failed handoff may have dropped the sweep registration.
-			s.mu.Lock()
-			s.conns[conn] = act
-			s.mu.Unlock()
-		}
+// track registers a goroutine-driven conn for Shutdown's read interrupt and
+// the idle sweep. A conn tracked after Shutdown armed its deadlines (a
+// handoff that lost the race with a stopping loop) gets one here, so its
+// pump still drains and answers instead of blocking on a silent client.
+func (s *Server) track(conn net.Conn, act *connActivity) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.conns[conn] = act
+	if s.draining.Load() {
+		conn.SetReadDeadline(time.Now())
 	}
-	defer putReader()
-	defer sh.conns.Add(-1)
-	defer st.connected.Store(false)
-
-	var procErr, readErr error
-	var evicted bool
-	if binFrames {
-		procErr, readErr, evicted = s.pumpBinary(br, act, sh, st, sess, h.vm, resumed, resumeT)
-	} else {
-		procErr, readErr, evicted = s.pumpCSV(br, act, sh, st, sess, h.vm, resumed, resumeT)
-	}
-
-	stats, closeErr := sess.Close()
-	switch {
-	case procErr != nil:
-		cw.line("error: %v", procErr)
-	case readErr != nil:
-		cw.line("error: %v", readErr)
-	case evicted:
-		cw.line("error: idle timeout: no samples for %v", s.opts.IdleTimeout)
-	case closeErr != nil:
-		cw.line("error: %v", closeErr)
-	}
-	cw.line("done vm=%s samples=%d monitored=%d dropped=%d alarms=%d",
-		h.vm, stats.Ingested(), stats.Monitored, stats.Dropped, stats.Alarms)
-	s.logf("vm %s: stream closed (%d samples, %d dropped, %d alarms, alarmed=%v)",
-		h.vm, stats.Ingested(), stats.Dropped, stats.Alarms, stats.Alarmed)
-	return false
 }
 
 // orCSV names the effective encoding for log lines.
@@ -500,147 +470,6 @@ func orCSV(frames string) string {
 		return framesCSV
 	}
 	return frames
-}
-
-// pumpCSV runs the CSV stream inline: parse a line, batch the sample,
-// observe full batches under one session lock. Since PR 7's ObserveBatch,
-// a separate worker goroutine bought nothing but channel traffic and a
-// second stack — parsing and observing now interleave on this goroutine,
-// and backpressure is simply not reading. After a session error the pump
-// keeps reading to end of stream, discarding (same contract as before:
-// the client gets its error after a full drain, not a mid-stream reset).
-func (s *Server) pumpCSV(br *bufio.Reader, act *connActivity, sh *ingestShard, st *vmState, sess *Session, vm string, resumed bool, resumeT float64) (procErr, readErr error, evicted bool) {
-	batch := batchPool.Get().([]pcm.Sample)
-	defer func() { batchPool.Put(batch[:0]) }()
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		if procErr == nil {
-			n, err := sess.ObserveBatch(batch)
-			sh.samples.Add(uint64(n))
-			if err != nil {
-				procErr = err
-			}
-		}
-		batch = batch[:0]
-	}
-
-	reader := feed.NewReader(br)
-	for {
-		if len(batch) > 0 && br.Buffered() == 0 {
-			// About to block on the socket: observe what we have first, so a
-			// live mid-flight stream is never parked in the batch.
-			flush()
-		}
-		smp, err := reader.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			var pe *feed.ParseError
-			if errors.As(err, &pe) {
-				// Malformed line: quarantine it and keep the connection —
-				// one torn write must not kill an otherwise healthy stream.
-				st.quarantined.Add(1)
-				sh.quarantined.Add(1)
-				s.logf("vm %s: quarantined malformed line %d: %v", vm, pe.Line, pe.Err)
-				continue
-			}
-			if isDeadlineErr(err) {
-				if act != nil && act.evicted.Load() {
-					evicted = true
-					s.idleEvictions.Add(1)
-				}
-				// Otherwise: shutdown interrupt — end of stream, drain.
-			} else {
-				readErr = err
-			}
-			break
-		}
-		if resumed && smp.T <= resumeT {
-			continue
-		}
-		batch = append(batch, smp)
-		if len(batch) == cap(batch) {
-			flush()
-		}
-	}
-	flush()
-	return procErr, readErr, evicted
-}
-
-// readerPool and batchPool recycle the per-connection ingest buffers. A
-// connection's working set (64 KiB read buffer plus depth+1 frame batches)
-// is allocated-and-zeroed exactly once and then circulates: at 10k
-// concurrent streams, per-conn allocation would cost >1 GB of memclr and
-// the GC churn to match.
-var (
-	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64*1024) }}
-	batchPool  = sync.Pool{New: func() any { return make([]pcm.Sample, 0, feed.MaxFrameSamples) }}
-)
-
-// pumpBinary is the fallback binary pump for connections a shard event
-// loop cannot own (non-socket conns, non-Linux, loop startup failure):
-// decode one frame into a pooled buffer, observe it in bulk, repeat.
-// Backpressure is not reading; a session error drains to end of stream
-// discarding, so the client still gets its error after a full drain.
-//
-// Non-finite samples are quarantined per sample (framing stays intact);
-// framing damage — unknown frame type, bad count, truncated payload — is
-// fatal because a byte stream without newlines has no resync point.
-func (s *Server) pumpBinary(br *bufio.Reader, act *connActivity, sh *ingestShard, st *vmState, sess *Session, vm string, resumed bool, resumeT float64) (procErr, readErr error, evicted bool) {
-	buf := batchPool.Get().([]pcm.Sample)
-	defer func() { batchPool.Put(buf[:0]) }()
-
-	bin := feed.NewBinReader(br)
-	for {
-		n, q, err := bin.ReadFrame(buf)
-		if q > 0 {
-			st.quarantined.Add(uint64(q))
-			sh.quarantined.Add(uint64(q))
-			s.logf("vm %s: quarantined %d non-finite samples in frame %d", vm, q, bin.Frames())
-		}
-		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			if isDeadlineErr(err) {
-				if act != nil && act.evicted.Load() {
-					evicted = true
-					s.idleEvictions.Add(1)
-				}
-				// Otherwise: shutdown interrupt — end of stream, drain.
-			} else {
-				readErr = err
-			}
-			break
-		}
-		sh.frames.Add(1)
-		if procErr != nil {
-			continue // poisoned: drain the stream, discard
-		}
-		batch := buf[:n]
-		if resumed {
-			k := 0
-			for _, smp := range batch {
-				if smp.T > resumeT {
-					batch[k] = smp
-					k++
-				}
-			}
-			batch = batch[:k]
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		nObs, err := sess.ObserveBatch(batch)
-		sh.samples.Add(uint64(nObs))
-		if err != nil {
-			procErr = err
-		}
-	}
-	return procErr, readErr, evicted
 }
 
 // Stream is an in-process VM stream: the same lifecycle as a connection,
@@ -665,11 +494,15 @@ func (s *Server) OpenStream(spec StreamSpec) (*Stream, error) {
 
 // Observe ingests one sample.
 func (st *Stream) Observe(smp pcm.Sample) error {
-	if err := st.state.sess.Observe(smp); err != nil {
-		return err
-	}
-	st.shard.samples.Add(1)
-	return nil
+	_, err := st.ObserveBatch([]pcm.Sample{smp})
+	return err
+}
+
+// ObserveBatch ingests a run of samples under one session lock and counts
+// them in the VM's shard row, the way a connection's batches are counted.
+// It returns how many samples were consumed before any error.
+func (st *Stream) ObserveBatch(batch []pcm.Sample) (int, error) {
+	return st.shard.observe(st.state.sess, batch)
 }
 
 // Session exposes the stream's session (stats, profile, alarms).
@@ -798,10 +631,4 @@ func alarmJSON(a detect.Alarm) string {
 		return fmt.Sprintf(`{"t":%g,"detector":%q}`, a.T, a.Detector)
 	}
 	return string(b)
-}
-
-// isDeadlineErr reports whether err stems from the shutdown read deadline.
-func isDeadlineErr(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }

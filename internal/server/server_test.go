@@ -160,7 +160,7 @@ func TestServerManyConcurrentStreams(t *testing.T) {
 		total   = 4000 // 20 s profile + 20 s monitored per VM
 		profile = 20.0
 	)
-	s, addr := startServer(t, Options{ProfileSeconds: profile, BufferSamples: 64})
+	s, addr := startServer(t, Options{ProfileSeconds: profile})
 	var wg sync.WaitGroup
 	for i := 0; i < vms; i++ {
 		wg.Add(1)
@@ -313,7 +313,7 @@ func TestServerGracefulDrain(t *testing.T) {
 		tpcm  = 0.01
 		total = 2500 // 20 s profile + 5 s monitored
 	)
-	s, addr := startServer(t, Options{ProfileSeconds: 20, BufferSamples: 8})
+	s, addr := startServer(t, Options{ProfileSeconds: 20})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/memdos/sds/internal/detect"
+	"github.com/memdos/sds/internal/pcm"
 )
 
 // The ingest plane is sharded: the server owns Options.Shards ingest
@@ -18,15 +19,16 @@ import (
 // tests pin: one VM's samples are never observed from two shards
 // concurrently). In-process streams count into their VM's shard row too.
 //
-// On Linux, each shard runs an epoll event loop (see epoll_linux.go) that
-// owns its connections' binary-frame ingest: one bounded worker services
-// socket-readiness events with large block reads into a shard-local
-// buffer, decoding frames in place (feed.FrameScanner) and batching them
-// into Session.ObserveBatch — no per-connection pump goroutines, no
-// bufio copy, no channel handoff. Connections the event loop cannot take
-// (CSV streams, non-socket conns like net.Pipe in tests, non-Linux
-// platforms) fall back to an inline per-connection pump and are still
-// accounted to their shard.
+// Every connection is one ingestConn (ingest.go), which owns the frame
+// decode, the resume filter, quarantine accounting, the batched observe
+// step and the error/done tail; only the read driver differs. On Linux,
+// each shard runs an epoll event loop (see epoll_linux.go) that reads its
+// binary streams: one bounded worker services socket-readiness events with
+// large block reads into a shard-local buffer — no per-connection
+// goroutines, no bufio copy, no channel handoff. Connections the loop
+// cannot take (CSV streams, non-socket conns like net.Pipe in tests,
+// non-Linux platforms) are read by a blocking per-connection pump and are
+// still accounted to their shard.
 //
 // SO_REUSEPORT accept sharding (ListenShards) is the front door: it gives
 // the daemon one accept queue per shard so accept work spreads across
@@ -50,6 +52,15 @@ type ingestShard struct {
 	mu      sync.Mutex
 	ep      *epollLoop
 	epFatal bool // loop construction failed; don't retry per connection
+}
+
+// observe ingests batch into sess under one session lock and counts what
+// was consumed in the shard row: the one observe step of every ingest
+// path, connection or in-process.
+func (sh *ingestShard) observe(sess *Session, batch []pcm.Sample) (int, error) {
+	n, err := sess.ObserveBatch(batch)
+	sh.samples.Add(uint64(n))
+	return n, err
 }
 
 // shardFor maps a VM name to its ingest shard.

@@ -124,7 +124,7 @@ func TestShardAffinity(t *testing.T) {
 		total   = 3000
 		profile = 20.0
 	)
-	s, addr := startServer(t, Options{ProfileSeconds: profile, Shards: 4, BufferSamples: 256})
+	s, addr := startServer(t, Options{ProfileSeconds: profile, Shards: 4})
 	var wg sync.WaitGroup
 	for i := 0; i < vms; i++ {
 		wg.Add(1)
@@ -197,7 +197,7 @@ func TestServerShardedGracefulDrain(t *testing.T) {
 		tpcm    = 0.01
 		total   = 2500
 	)
-	s := New(Options{ProfileSeconds: 20, BufferSamples: 64, Shards: 4})
+	s := New(Options{ProfileSeconds: 20, Shards: 4})
 	ls, _, err := ListenShards("tcp", "127.0.0.1:0", s.ShardCount())
 	if err != nil {
 		t.Fatal(err)
