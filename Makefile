@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-all bench-scale bench-check cover cover-check chaos goldens verify repro smoke smoke-cloudsim smoke-evasion fuzz-smoke examples clean
+.PHONY: all build test race vet bench-all bench-scale cover cover-check chaos goldens verify repro smoke smoke-cloudsim smoke-evasion fuzz-smoke examples clean
 
 all: build vet test
 
@@ -19,50 +19,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Record the PR's benchmark trajectory BENCH_PR$(BENCH_PR).json. The root
-# figure benchmarks run with fixed iteration counts (they seed each iteration
-# separately, so time-based -benchtime can step onto seeds outside the
-# profiled regime); the hot-path microbenchmarks in feed/detect/server run
-# with the default time budget for stable ns/op. When a scale run has left
-# bench_scale.txt behind (make bench-scale), its sustained-throughput lines
-# are merged into the same trajectory.
-BENCH_PR ?= 10
-BENCH_FIGURES := Table1Defaults|Fig|Sec32FalseAlarmRates|Ablation
-BENCH_MICRO := MovingAveragerPush|EWMAPush|FFT|PeriodEstimat|ACFDirect|KSStatistic|KSTestObserve|CacheAccess|ModelSample|SDSObserve|CUSUMObserve|TimeFragObserve|EWMAVarObserve|StrategyIntensity
-# The ns-gated microbenchmarks record -count=3; benchjson keeps the
-# fastest run of each (shared-host interference is one-sided, so the
-# minimum is the low-noise estimator the gate should compare).
-bench:
-	$(GO) test -run=NONE -bench='$(BENCH_FIGURES)' -benchmem -benchtime=10x . | tee bench_output.txt
-	$(GO) test -run=NONE -bench='$(BENCH_MICRO)' -benchmem -count=3 . | tee -a bench_output.txt
-	$(GO) test -run=NONE -bench=. -benchmem -count=3 ./internal/feed ./internal/detect ./internal/server | tee -a bench_output.txt
-	$(GO) test -run=NONE -bench='BenchmarkCloud' -benchmem -benchtime=1x -count=3 ./internal/cloudsim | tee -a bench_output.txt
-	$(GO) test -run=NONE -bench='BlockModelStep' -benchmem -count=3 ./internal/cloudsim | tee -a bench_output.txt
-	$(GO) run ./cmd/benchjson -o BENCH_PR$(BENCH_PR).json bench_output.txt $(wildcard bench_scale.txt)
-
 # The ingest scale runs: the 10k-stream throughput passes (binary + CSV
-# baseline) and the 100k-stream correctness run (bounded-inflight, 2 load
-# processes, alarm parity against a single-process reference); appends the
-# sustained samples/sec lines to bench_scale.txt for `make bench`.
+# baseline), each printing its sustained samples/sec, and the 100k-stream
+# correctness run (bounded-inflight, 2 load processes, alarm parity against
+# a single-process reference).
 bench-scale:
 	./scripts/scale_sdsload.sh
 
-# Gate the newest trajectory against the previous one: any allocs/op
-# increase, >10% ns/op regression on the tracked hot paths, or >10%
-# samples/sec drop on the recorded scale runs, fails. When the only
-# violations are wall-clock ones, scripts/bench_ab.sh gets the final say:
-# it re-benchmarks the flagged names under the baseline commit's code and
-# the working tree interleaved on the current machine, so cross-session
-# machine drift (which moves non-uniformly across benchmark classes) can
-# be told apart from a genuine code regression.
-bench-check:
-	@set -- $$(ls BENCH_PR*.json 2>/dev/null | sort -V); \
-	if [ $$# -lt 2 ]; then echo "bench-check: fewer than two trajectories, nothing to gate"; exit 0; fi; \
-	while [ $$# -gt 2 ]; do shift; done; \
-	$(GO) run ./cmd/benchdiff -old "$$1" -new "$$2" -fail-list bench_fails.txt \
-		|| ./scripts/bench_ab.sh "$$1" bench_fails.txt
-
-# Benchmark everything (slower; no JSON emission).
+# Run every Go benchmark. The end-to-end benchmark with its bounds is
+# bench/run.sh (see BENCHMARK.json).
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -142,4 +107,4 @@ fuzz-smoke:
 	$(GO) test ./internal/attack -run=NONE -fuzz=FuzzStrategyIntensity -fuzztime=5s
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt bench_scale.txt
+	rm -f cover.out test_output.txt

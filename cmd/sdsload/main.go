@@ -17,9 +17,9 @@
 //	        -attack-at 120 -expect-alarms 1
 //
 //	# 10k binary-frame streams, pre-rendered so the measured window is
-//	# pure ingest; emit a go-bench line for benchjson
+//	# pure ingest
 //	sdsload -addr 127.0.0.1:7031 -vms 10000 -seconds 30 -profile-seconds 15 \
-//	        -frames bin -prebuild -bench-name ServerIngestBin10k
+//	        -frames bin -prebuild
 //
 //	# 100k streams from 2 load processes (one GOMAXPROCS-bound sdsload
 //	# cannot saturate a sharded server), rotating across loopback
@@ -72,11 +72,10 @@ type config struct {
 	seed           uint64 // VM i streams with seed+i
 	expectAlarms   int
 	retries        int
-	prebuild       bool   // render every stream before the clock starts
-	inflight       int    // max concurrent streams per process (0 = all)
-	benchName      string // emit a go-bench result line under this name
-	procs          int    // worker processes (1 = in-process)
-	workerID       int    // ≥0: this process is worker workerID of procs
+	prebuild       bool // render every stream before the clock starts
+	inflight       int  // max concurrent streams per process (0 = all)
+	procs          int  // worker processes (1 = in-process)
+	workerID       int  // ≥0: this process is worker workerID of procs
 }
 
 // fdHeadroom pads the fd budget past one fd per stream: pipes, listeners,
@@ -105,7 +104,6 @@ func main() {
 	flag.IntVar(&cfg.retries, "connect-retries", 10, "connection attempts per VM (100ms apart) before giving up")
 	flag.BoolVar(&cfg.prebuild, "prebuild", false, "render every stream to memory first so the timed window measures ingest, not sample generation")
 	flag.IntVar(&cfg.inflight, "inflight", 0, "max concurrent streams per process, 0 = all at once (bounds open sockets when -vms exceeds the fd limit)")
-	flag.StringVar(&cfg.benchName, "bench-name", "", "also print a `go test -bench`-style result line (Benchmark<name> …) for benchjson")
 	flag.IntVar(&cfg.procs, "procs", 1, "split the run across this many load processes (re-execs itself)")
 	flag.IntVar(&cfg.workerID, "worker-id", -1, "internal: this process is one -procs worker (set by the parent)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -196,19 +194,10 @@ type streamTally struct {
 	Failures int `json:"failures"`
 }
 
-// report prints the human summary and, when asked, the go-bench line.
+// report prints the run's summary line.
 func report(cfg config, t streamTally, elapsed time.Duration) {
-	rate := float64(t.Samples) / elapsed.Seconds()
 	fmt.Printf("sdsload: %d VMs, %d samples in %.2fs (%.0f samples/sec), %d alarms\n",
-		cfg.vms, t.Samples, elapsed.Seconds(), rate, t.Alarms)
-	if cfg.benchName != "" && t.Samples > 0 {
-		// One result line in `go test -bench` format so the run lands in the
-		// BENCH_PR*.json trajectory through the same benchjson pipeline as
-		// the in-process benchmarks: iterations = samples ingested, ns/op =
-		// wall time per sample across all streams.
-		fmt.Printf("Benchmark%s \t%8d\t%12.1f ns/op\t%12.0f samples/sec\n",
-			cfg.benchName, t.Samples, float64(elapsed.Nanoseconds())/float64(t.Samples), rate)
-	}
+		cfg.vms, t.Samples, elapsed.Seconds(), float64(t.Samples)/elapsed.Seconds(), t.Alarms)
 }
 
 // prepare renders and pre-dials global VM indices [lo,hi) when -prebuild
@@ -491,8 +480,8 @@ func runParent(cfg config) error {
 	return nil
 }
 
-// workerArgs rebuilds the flag set for worker i. -cpuprofile and
-// -bench-name stay with the parent (workers share its stdout).
+// workerArgs rebuilds the flag set for worker i. -cpuprofile stays with
+// the parent.
 func workerArgs(cfg config, i int) []string {
 	args := []string{
 		"-addr", cfg.addr,

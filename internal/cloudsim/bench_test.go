@@ -66,12 +66,16 @@ func BenchmarkCloud20x8x300Exact(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockModelStep isolates the hot path of the window substrate:
-// one closed-form ΔW-sample block of telemetry. Must stay allocation-free.
-func BenchmarkBlockModelStep(b *testing.B) {
-	prof := workload.MustAppProfile(workload.KMeans)
+// benchBlockModel is a kmeans block model at the default ΔW block size.
+func benchBlockModel() *blockModel {
 	cfg := Scenario{Hosts: 1}.withDefaults().Detect
-	bm := newBlockModel(prof, randx.New(99, 0), float64(cfg.DW)*cfg.TPCM, cfg.DW)
+	return newBlockModel(workload.MustAppProfile(workload.KMeans), randx.New(99, 0), float64(cfg.DW)*cfg.TPCM, cfg.DW)
+}
+
+// BenchmarkBlockModelStep isolates the hot path of the window substrate:
+// one closed-form ΔW-sample block of telemetry.
+func BenchmarkBlockModelStep(b *testing.B) {
+	bm := benchBlockModel()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sa, sm float64
@@ -81,4 +85,13 @@ func BenchmarkBlockModelStep(b *testing.B) {
 		sm += m
 	}
 	_, _ = sa, sm
+}
+
+// TestBlockModelStepZeroAlloc pins the benchmark's allocs/op at zero: the
+// window substrate steps every VM of every host once per block.
+func TestBlockModelStepZeroAlloc(t *testing.T) {
+	bm := benchBlockModel()
+	if allocs := testing.AllocsPerRun(1000, func() { bm.step(0.3, 0) }); allocs != 0 {
+		t.Fatalf("blockModel.step: %.2f allocs per block, want 0", allocs)
+	}
 }

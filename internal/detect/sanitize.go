@@ -6,11 +6,12 @@ import (
 	"github.com/memdos/sds/internal/pcm"
 )
 
-// Sanitizer guards a detector against malformed PCM input: NaN or negative
-// counters (counter wrap-around, tool restart) and out-of-order or
-// duplicate timestamps (buffering glitches). Malformed samples are dropped
-// and counted, never forwarded — a hypervisor-resident detector must not
-// corrupt its state because the measurement tool hiccupped.
+// Sanitizer guards a detector against malformed PCM input: NaN, negative or
+// physically impossible counters (counter wrap-around, tool restart, a
+// flipped bit in transit) and out-of-order or duplicate timestamps
+// (buffering glitches). Malformed samples are dropped and counted, never
+// forwarded — a hypervisor-resident detector must not corrupt its state
+// because the measurement tool hiccupped.
 //
 // Wrap any Detector:
 //
@@ -26,6 +27,16 @@ type Sanitizer struct {
 }
 
 var _ Detector = (*Sanitizer)(nil)
+
+// maxAccessPerSample is the largest LLC access count one sample may carry.
+// No core issues more than one LLC access per cycle, and T_PCM is at most
+// 1 s, so a few GHz of cycles bound every honest sample; 1e10 leaves room
+// for several cores behind one counter and still sits four orders of
+// magnitude above every workload model (kmeans peaks near 6.1e5). Anything
+// larger is a corrupt counter: one flipped exponent bit turns an access
+// count of 2e5 into 3.6e159, which is finite and would otherwise hold an
+// alarm for hundreds of seconds.
+const maxAccessPerSample = 1e10
 
 // NewSanitizer wraps a detector with input validation. A nil inner detector
 // yields a Sanitizer that drops everything (still safe to use).
@@ -56,10 +67,13 @@ func (s *Sanitizer) Observe(sample pcm.Sample) {
 func (s *Sanitizer) valid(sample pcm.Sample) bool {
 	switch {
 	// !(|x| <= MaxFloat64) rejects exactly NaN and ±Inf: one branch per
-	// field instead of the IsNaN/IsInf pair on this per-sample path.
+	// field instead of the IsNaN/IsInf pair on this per-sample path. The
+	// access test folds the ceiling in: NaN, +Inf and over-ceiling counts
+	// fail it alike, and -Inf falls to the sign test below. Miss needs no
+	// ceiling of its own, since it may not exceed Access.
 	case !(math.Abs(sample.T) <= math.MaxFloat64):
 		return false
-	case !(math.Abs(sample.Access) <= math.MaxFloat64):
+	case !(sample.Access <= maxAccessPerSample):
 		return false
 	case !(math.Abs(sample.Miss) <= math.MaxFloat64):
 		return false

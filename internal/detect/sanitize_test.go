@@ -36,6 +36,7 @@ func TestSanitizerDropsMalformedSamples(t *testing.T) {
 		{T: 0.026, Access: 100, Miss: math.Inf(1)},
 		{T: 0.027, Access: -5, Miss: 1},
 		{T: 0.028, Access: 10, Miss: 20}, // misses exceed accesses
+		{T: 0.029, Access: 2 * maxAccessPerSample, Miss: 10},
 	}
 	s.Observe(good[0])
 	for _, b := range bad {
@@ -49,8 +50,8 @@ func TestSanitizerDropsMalformedSamples(t *testing.T) {
 	if got, want := len(inner.observed), 3; got != want {
 		t.Fatalf("inner observed %d samples, want %d: %+v", got, want, inner.observed)
 	}
-	if got := s.Dropped(); got != 7 {
-		t.Fatalf("dropped = %d, want 7", got)
+	if got := s.Dropped(); got != 8 {
+		t.Fatalf("dropped = %d, want 8", got)
 	}
 }
 

@@ -6,44 +6,69 @@ import (
 	"github.com/memdos/sds/internal/pcm"
 )
 
-// BenchmarkSessionObserveBatch measures the monitored-stage ingest cost of
-// the batched path the binary frame plane drives: one ObserveBatch call per
-// 256-sample frame. This is the server-side hot path the bench gate watches —
-// ns/op is per frame, and allocs/op must stay at zero (the frame pipeline's
-// steady state allocates nothing per frame).
-func BenchmarkSessionObserveBatch(b *testing.B) {
-	const (
-		tpcm    = 0.01
-		profile = 20.0
-		frame   = 256
-	)
+// benchTPCM is the sampling interval of the synthetic monitored stream.
+const benchTPCM = 0.01
+
+// monitoredSession returns an sds session driven through its 20 s Stage-1
+// window on synthetic samples, and the index of the next sample, so what
+// follows exercises only the monitored stage.
+func monitoredSession(tb testing.TB) (*Session, int) {
+	tb.Helper()
+	const profile = 20.0
 	sess, err := NewSession(StreamSpec{
 		VM: "bench", App: "synth", Scheme: "sds", ProfileSeconds: profile,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	// Drive Stage 1 to completion so the timed loop measures only the
-	// monitored stage.
 	i := 0
-	for ; i < int(profile/tpcm)+1; i++ {
-		if err := sess.Observe(synthSample(i, tpcm, 1000)); err != nil {
-			b.Fatal(err)
+	for ; i < int(profile/benchTPCM)+1; i++ {
+		if err := sess.Observe(synthSample(i, benchTPCM, 1000)); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	if sess.Profiling() {
-		b.Fatal("session still profiling after the Stage-1 window")
+		tb.Fatal("session still profiling after the Stage-1 window")
 	}
-	batch := make([]pcm.Sample, frame)
+	return sess, i
+}
+
+// observeFrame fills batch with the samples from index i on and observes
+// them in one ObserveBatch call, as the binary plane does per frame. It
+// returns the index of the next sample.
+func observeFrame(tb testing.TB, sess *Session, batch []pcm.Sample, i int) int {
+	for j := range batch {
+		batch[j] = synthSample(i, benchTPCM, 1000)
+		i++
+	}
+	if _, err := sess.ObserveBatch(batch); err != nil {
+		tb.Fatal(err)
+	}
+	return i
+}
+
+// BenchmarkSessionObserveBatch measures the monitored-stage ingest cost of
+// the batched path the binary frame plane drives: one ObserveBatch call per
+// 256-sample frame. ns/op is per frame.
+func BenchmarkSessionObserveBatch(b *testing.B) {
+	sess, i := monitoredSession(b)
+	batch := make([]pcm.Sample, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		for j := range batch {
-			batch[j] = synthSample(i, tpcm, 1000)
-			i++
-		}
-		if _, err := sess.ObserveBatch(batch); err != nil {
-			b.Fatal(err)
-		}
+		i = observeFrame(b, sess, batch, i)
+	}
+}
+
+// TestSessionObserveBatchZeroAlloc pins the benchmark's allocs/op at zero:
+// the wire ingest hot path's steady state allocates nothing per frame.
+func TestSessionObserveBatchZeroAlloc(t *testing.T) {
+	sess, i := monitoredSession(t)
+	batch := make([]pcm.Sample, 256)
+	i = observeFrame(t, sess, batch, i)
+	if allocs := testing.AllocsPerRun(100, func() {
+		i = observeFrame(t, sess, batch, i)
+	}); allocs != 0 {
+		t.Fatalf("Session.ObserveBatch: %.2f allocs per frame in the monitored stage, want 0", allocs)
 	}
 }

@@ -334,3 +334,40 @@ func TestServerBadFramesField(t *testing.T) {
 		t.Fatalf("bad frames value accepted: ok=%q errors=%v", res.okLine, res.errorLines)
 	}
 }
+
+// TestServerReleasesFinishedWriter: once a stream's done line is out, the
+// VM's row no longer holds that connection's writer (its 4 KiB buffer and
+// the conn) for the rest of the row's life, and a reconnect inside Stage 1
+// still resumes the session.
+func TestServerReleasesFinishedWriter(t *testing.T) {
+	const (
+		tpcm  = 0.01
+		total = 2500 // 20 s profile + 5 s monitored
+	)
+	s, addr := startServer(t, Options{ProfileSeconds: 20})
+	hs := "sds/1 vm=rel profile=20 frames=bin"
+	released := func() {
+		t.Helper()
+		s.mu.Lock()
+		cw := s.sessions["rel"].sink.Load()
+		s.mu.Unlock()
+		if cw == nil || cw.conn != nil || cw.w != nil {
+			t.Errorf("finished stream's sink = %+v, want a detached writer with no conn or buffer", cw)
+		}
+	}
+
+	// The first stream ends 10 s into the 20 s profile window.
+	if res := runClient(t, addr, hs, synthBin(t, 0, 1000, tpcm, 100)); res.done == nil {
+		t.Fatal("no done line on the first stream")
+	}
+	released()
+
+	res := runClient(t, addr, hs, synthBin(t, 0, total, tpcm, 100))
+	if !strings.Contains(res.okLine, "resumed=1") {
+		t.Errorf("ok line %q does not announce the resume", res.okLine)
+	}
+	if res.done == nil || res.done.samples != total {
+		t.Fatalf("resumed stream done = %+v, want %d samples", res.done, total)
+	}
+	released()
+}

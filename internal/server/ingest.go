@@ -137,6 +137,9 @@ func (c *ingestConn) finish(readErr error, evicted bool) {
 	c.shard.conns.Add(-1)
 	c.st.connected.Store(false)
 	stats, closeErr := c.st.sess.Close()
+	// Release the writer (its buffer and the conn) for as long as the
+	// session row outlives the stream; a resume that raced in keeps its own.
+	c.st.sink.CompareAndSwap(c.cw, detached)
 	if evicted {
 		s.idleEvictions.Add(1)
 	}

@@ -117,7 +117,7 @@ type vmState struct {
 	connected atomic.Bool
 	// sink is the current connection's writer; alarms route through it so a
 	// resumed session reports to the live connection, not the dead one. Nil
-	// for in-process streams.
+	// for in-process streams, detached once a connection's stream ended.
 	sink atomic.Pointer[connWriter]
 	// resumes counts profile-window resumptions (guarded by Server.mu).
 	resumes int
@@ -576,6 +576,10 @@ func parseHandshake(line string) (handshake, error) {
 	}
 	return h, nil
 }
+
+// detached is the sink of a VM whose connection's stream has ended: it
+// holds no buffer or conn, and fails every line like a dead client.
+var detached = &connWriter{err: net.ErrClosed}
 
 // connWriter serializes line writes to a connection. When writeTimeout is
 // set — connections owned by a shard event loop — every line is bounded

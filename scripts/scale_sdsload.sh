@@ -3,9 +3,9 @@
 #
 #  1. Throughput — launch one sdsd, drive it with VMS concurrent sdsload
 #     streams (default 10000) in binary-frame mode, assert zero sample
-#     loss, and record the sustained samples/sec in the benchmark
-#     trajectory. A second pass with the same parameters over CSV frames
-#     gives the baseline the binary plane is measured against.
+#     loss, and print the sustained samples/sec. A second pass with the
+#     same parameters over CSV frames gives the baseline the binary plane
+#     is measured against.
 #
 #  2. Scale correctness — stream VMS100K VMs (default 100000) through a
 #     bounded window of -inflight concurrent sockets, split over two load
@@ -20,7 +20,6 @@
 #   scripts/scale_sdsload.sh                 # both acts
 #   SDSD_VMS=2000 SDSD_100K_VMS=20000 scripts/scale_sdsload.sh  # rehearsal
 #   SDSD_SKIP_100K=1 scripts/scale_sdsload.sh # throughput only
-#   SDSD_BENCH_OUT=bench_scale.txt           # where the bench lines land
 #
 # Throughput streams are pre-rendered (-prebuild) so the timed window
 # measures the transport and server ingest, not client-side sample
@@ -45,7 +44,6 @@ OPS=${SDSD_OPS:-127.0.0.1:17042}
 VMS=${SDSD_VMS:-10000}
 SECONDS_PER_VM=${SDSD_SECONDS:-60}
 PROFILE=${SDSD_PROFILE:-15}
-OUT=${SDSD_BENCH_OUT:-bench_scale.txt}
 VMS100K=${SDSD_100K_VMS:-100000}
 INFLIGHT=${SDSD_100K_INFLIGHT:-6000}
 PORT100K=${SDSD_100K_PORT:-17043}
@@ -72,8 +70,6 @@ trap cleanup EXIT INT TERM
 go build -o "$tmp/sdsd" ./cmd/sdsd
 go build -o "$tmp/sdsload" ./cmd/sdsload
 
-: > "$OUT"
-
 stop_sdsd() {
     kill -TERM "$sdsd_pid"
     wait "$sdsd_pid" || {
@@ -86,7 +82,6 @@ stop_sdsd() {
 
 run_pass() {
     frames=$1
-    name=$2
     # -quiet: logging 10k per-stream done lines costs more than ingesting
     # them on a small-core host and skews the measured window.
     "$tmp/sdsd" -listen "$ADDR" -ops "$OPS" -profile-seconds "$PROFILE" -quiet \
@@ -96,7 +91,7 @@ run_pass() {
     # needed; 100 retries ride out 10k streams racing one accept loop.
     "$tmp/sdsload" -addr "$ADDR" -vms "$VMS" -seconds "$SECONDS_PER_VM" \
         -profile-seconds "$PROFILE" -frames "$frames" -prebuild \
-        -connect-retries 100 -bench-name "$name" | tee -a "$OUT" || {
+        -connect-retries 100 || {
         echo "scale: $frames pass failed; server log tail:" >&2
         tail -20 "$tmp/sdsd-$frames.log" >&2
         exit 1
@@ -104,11 +99,11 @@ run_pass() {
     stop_sdsd "$frames pass" "$tmp/sdsd-$frames.log"
 }
 
-run_pass bin "ServerIngestBin${VMS}VMs"
-run_pass csv "ServerIngestCSV${VMS}VMs"
+run_pass bin
+run_pass csv
 
 if [ "${SDSD_SKIP_100K:-0}" = "1" ]; then
-    echo "scale: ok — bench lines appended to $OUT (100k act skipped)"
+    echo "scale: ok (100k act skipped)"
     exit 0
 fi
 
@@ -120,17 +115,9 @@ for ip in 2 3 4 5 6 7 8; do
     ADDRS100K="$ADDRS100K,127.0.0.$ip:$PORT100K"
 done
 
-kname=$((VMS100K / 1000))
-
 run_100k() {
     procs=$1
-    name=$2
-    tag=$3
-    if [ -n "$name" ]; then
-        set -- -bench-name "$name"
-    else
-        set --
-    fi
+    tag=$2
     # profile=12: the Stage-1 profiler needs >= 1150 samples (20 MA
     # windows); at the Table 1 interval that is 11.5 virtual seconds.
     "$tmp/sdsd" -listen "0.0.0.0:$PORT100K" -ops "$OPS" -profile-seconds 12 \
@@ -141,7 +128,7 @@ run_100k() {
     # below compares nonzero, detection-driven counts.
     "$tmp/sdsload" -addr "$ADDRS100K" -vms "$VMS100K" -seconds 30 \
         -profile-seconds 12 -frames bin -inflight "$INFLIGHT" -procs "$procs" \
-        -attack-at 13 -connect-retries 100 "$@" \
+        -attack-at 13 -connect-retries 100 \
         >"$tmp/load-$tag.txt" || {
         cat "$tmp/load-$tag.txt"
         echo "scale: $tag pass failed; server log tail:" >&2
@@ -152,9 +139,8 @@ run_100k() {
     stop_sdsd "$tag pass" "$tmp/sdsd-$tag.log"
 }
 
-run_100k 2 "ServerIngestBin${kname}kVMs" 100k-procs2
-grep '^Benchmark' "$tmp/load-100k-procs2.txt" >> "$OUT"
-run_100k 1 "" 100k-ref
+run_100k 2 100k-procs2
+run_100k 1 100k-ref
 
 # sdsload already asserted zero loss per stream (sent == accounted) inside
 # each pass; what only this script can check is that splitting the fleet
@@ -168,4 +154,4 @@ if [ -z "$alarms_multi" ] || [ "$alarms_multi" != "$alarms_ref" ]; then
 fi
 echo "scale: 100k act ok — $VMS100K streams, zero loss, $alarms_multi alarms in both runs"
 
-echo "scale: ok — bench lines appended to $OUT"
+echo "scale: ok"

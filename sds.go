@@ -129,8 +129,9 @@ func NewReprofiler(app string, initial Profile, cfg Config, bufferSeconds float6
 // NewFleet returns an empty per-server detector fleet.
 func NewFleet() *Fleet { return detect.NewFleet() }
 
-// NewSanitizer wraps a detector with input validation: NaN/negative
-// counters and out-of-order timestamps are dropped, never forwarded.
+// NewSanitizer wraps a detector with input validation: NaN, negative or
+// impossibly large counters and out-of-order timestamps are dropped, never
+// forwarded.
 func NewSanitizer(inner Detector) *Sanitizer { return detect.NewSanitizer(inner) }
 
 // ChebyshevHC returns the smallest H_C meeting the confidence level for the
