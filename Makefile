@@ -97,7 +97,8 @@ examples:
 # Short fuzz pass over the feed parsers — CSV and the binary frame codec —
 # plus the evasive-schedule composition (Intensity/MeanIntensity must stay
 # finite, clamped and loop-free for arbitrary strategy knobs; one fuzzer
-# counterexample is already pinned in testdata/fuzz).
+# counterexample is already pinned in testdata/fuzz), and the block-mean
+# moving averager (emission schedule, exact window mean, Push ≡ PushBlock).
 fuzz-smoke:
 	$(GO) test ./internal/feed -run=NONE -fuzz=FuzzParseLine -fuzztime=5s
 	$(GO) test ./internal/feed -run=NONE -fuzz=FuzzReader -fuzztime=5s
@@ -105,6 +106,7 @@ fuzz-smoke:
 	$(GO) test ./internal/feed -run=NONE -fuzz=FuzzBinReader -fuzztime=5s
 	$(GO) test ./internal/feed -run=NONE -fuzz=FuzzBinRoundTrip -fuzztime=5s
 	$(GO) test ./internal/attack -run=NONE -fuzz=FuzzStrategyIntensity -fuzztime=5s
+	$(GO) test ./internal/timeseries -run=NONE -fuzz=FuzzMovingAverager -fuzztime=5s
 
 clean:
 	rm -f cover.out test_output.txt

@@ -10,6 +10,7 @@ import (
 	"github.com/memdos/sds/internal/metrics"
 	"github.com/memdos/sds/internal/pcm"
 	"github.com/memdos/sds/internal/randx"
+	"github.com/memdos/sds/internal/timeseries"
 	"github.com/memdos/sds/internal/workload"
 )
 
@@ -177,9 +178,13 @@ func (e *engine) newVM(id int, r role, app string, monitored bool) (*vm, error) 
 	rng := randx.DeriveString(e.sc.Seed, v.name+"/model")
 	if e.window {
 		v.bm = newBlockModel(v.prof, rng, float64(e.cfg.DW)*e.tpcm, e.cfg.DW)
-		bpw := e.cfg.W / e.cfg.DW
-		v.ringA = make([]float64, bpw)
-		v.ringM = make([]float64, bpw)
+		var err error
+		if v.maA, err = timeseries.NewMovingAverager(e.cfg.W, e.cfg.DW); err != nil {
+			return nil, err
+		}
+		if v.maM, err = timeseries.NewMovingAverager(e.cfg.W, e.cfg.DW); err != nil {
+			return nil, err
+		}
 	} else {
 		model, err := workload.NewModel(v.prof, rng)
 		if err != nil {
@@ -199,7 +204,11 @@ func (e *engine) newVM(id int, r role, app string, monitored bool) (*vm, error) 
 // statistical object, so the engine reuses it).
 func (e *engine) attachDetector(v *vm) error {
 	v.det, v.wobs, v.counter, v.probe = nil, nil, nil, nil
-	v.ringPos, v.ringN, v.alarmsSeen = 0, 0, 0
+	v.alarmsSeen = 0
+	if e.window {
+		v.maA.Reset()
+		v.maM.Reset()
+	}
 	var prof detect.Profile
 	if !e.scheme.Raw {
 		var err error
@@ -345,7 +354,9 @@ func (e *engine) advanceHost(h *host, to int64) bool {
 				}
 				a, m := v.bm.step(bus, cl)
 				e.res.Blocks++
-				if maA, maM, ok := v.pushBlock(a, m); ok {
+				maA, ok := v.maA.PushBlock(a)
+				maM, _ := v.maM.PushBlock(m)
+				if ok {
 					v.wobs.ObserveMA(t1, maA, maM)
 					if n := v.counter.AlarmCount(); n > v.alarmsSeen {
 						v.alarmsSeen = n
@@ -406,30 +417,6 @@ func (e *engine) account(v *vm, bus, cl, dt float64) {
 			v.exposure += i * dt
 		}
 	}
-}
-
-// pushBlock records one block mean in the VM's MA-assembly ring and, once
-// the ring covers a full window, returns the moving averages to feed the
-// detector.
-func (v *vm) pushBlock(a, m float64) (maA, maM float64, ok bool) {
-	bpw := len(v.ringA)
-	v.ringA[v.ringPos] = a
-	v.ringM[v.ringPos] = m
-	if v.ringPos++; v.ringPos == bpw {
-		v.ringPos = 0
-	}
-	if v.ringN < bpw {
-		if v.ringN++; v.ringN < bpw {
-			return 0, 0, false
-		}
-	}
-	var sa, sm float64
-	for i := 0; i < bpw; i++ {
-		sa += v.ringA[i]
-		sm += v.ringM[i]
-	}
-	k := float64(bpw)
-	return sa / k, sm / k, true
 }
 
 // onAlarm scores a fresh alarm edge and, under an active mitigation policy,

@@ -3,6 +3,7 @@ package cloudsim
 import (
 	"github.com/memdos/sds/internal/attack"
 	"github.com/memdos/sds/internal/detect"
+	"github.com/memdos/sds/internal/timeseries"
 	"github.com/memdos/sds/internal/workload"
 )
 
@@ -41,13 +42,11 @@ type vm struct {
 	wobs      detect.WindowObserver
 	counter   detect.AlarmCounter
 	probe     collectProbe // KStest only
-	// ringA/ringM hold the last W/ΔW block means; full rings emit one
-	// moving-average observation per block, preserving the exact pipeline's
-	// window overlap.
-	ringA, ringM []float64
-	ringPos      int
-	ringN        int
-	alarmsSeen   int
+	// maA/maM assemble the moving averages from the block model's ΔW-sample
+	// block means (FidelityWindow), one observation per block once a window
+	// is full, preserving the exact pipeline's window overlap.
+	maA, maM   *timeseries.MovingAverager
+	alarmsSeen int
 
 	// Attacker campaign state.
 	kind      attack.Kind

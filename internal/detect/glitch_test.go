@@ -58,7 +58,7 @@ func kmeansProfile(t *testing.T) detect.Profile {
 // the precision the glitch destroyed kept the AccessNum EWMA far below its
 // band until t = 1500 s. The sample goes to the detector directly: the
 // Sanitizer's counter ceiling would drop it, and the subject here is the
-// MA's self-heal.
+// MA's recovery once the glitch's block leaves the window.
 func TestMonitoredGlitchDoesNotLatch(t *testing.T) {
 	prof := kmeansProfile(t)
 	if monitoredKMeans(t, prof, false, nil).Alarmed() {

@@ -4,6 +4,7 @@ package server
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"sync"
 	"syscall"
@@ -23,11 +24,6 @@ const soReusePort = 0xf
 // shard; past the deadline the connWriter goes sticky-failed and the
 // write becomes the same best-effort no-op a dead client already gets.
 const epollWriteTimeout = 5 * time.Second
-
-// drainReadBudget caps how many bytes one connection may contribute
-// during shutdown drain: enough to empty a full kernel receive buffer,
-// finite so a still-streaming client cannot hold the drain open.
-const drainReadBudget = 1 << 20
 
 // epollLoop is one shard's event loop: a single goroutine multiplexing
 // every epoll-capable connection on the shard over one epoll instance,
@@ -276,6 +272,23 @@ func (l *epollLoop) finalize(ec *ingestConn, readErr error, evicted bool) {
 	ec.finish(readErr, evicted)
 	ec.conn.Close()
 	l.srv.wg.Done()
+}
+
+// readPending takes what conn's socket already holds, without waiting: a
+// read deadline does not stop it. It returns 0 once the socket is empty or
+// at its end, and for conns with no socket fd.
+func readPending(conn net.Conn, p []byte) int {
+	sc, ok := conn.(syscall.Conn)
+	if !ok {
+		return 0
+	}
+	raw, err := sc.SyscallConn()
+	if err != nil {
+		return 0
+	}
+	n := 0 // syscall.Read returns -1 on EAGAIN and every other error
+	raw.Control(func(fd uintptr) { n, _ = syscall.Read(int(fd), p) })
+	return max(n, 0)
 }
 
 // tryEventLoopHandoff moves a handshook binary stream onto its shard's

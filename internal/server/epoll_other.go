@@ -2,7 +2,10 @@
 
 package server
 
-import "errors"
+import (
+	"errors"
+	"net"
+)
 
 // epollLoop is Linux-only; elsewhere every connection uses the
 // per-connection goroutine pumps and the shard is a bookkeeping unit.
@@ -13,6 +16,10 @@ func newEpollLoop(sh *ingestShard) (*epollLoop, error) {
 }
 
 func (l *epollLoop) wake() {}
+
+// readPending has no socket fd to read off Linux: Shutdown's interrupt
+// ends a goroutine pump's stream at once.
+func readPending(net.Conn, []byte) int { return 0 }
 
 // tryEventLoopHandoff never takes ownership off Linux.
 func (s *Server) tryEventLoopHandoff(c *ingestConn) bool { return false }

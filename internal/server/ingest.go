@@ -217,6 +217,44 @@ func (c *ingestConn) pumpFrames(r io.Reader, act *connActivity) (readErr error, 
 	}
 }
 
+// drainReadBudget caps how many bytes one connection may contribute
+// during shutdown drain: enough to empty a full kernel receive buffer,
+// finite so a still-streaming client cannot hold the drain open.
+const drainReadBudget = 1 << 20
+
+// pumpConn is the goroutine pumps' read source. It stamps read liveness
+// for the idle sweep and arms no deadlines itself: the sweeper sets a
+// deadline in the past to interrupt a read it has decided to evict, and
+// Shutdown does the same to every tracked conn, so act.evicted tells the
+// two apart. After Shutdown's interrupt the next Read fails without taking
+// the bytes the client had already sent, so pumpConn then takes what is
+// still in the socket, up to drainReadBudget, as the event loop's drain
+// does, and only then returns the interrupt, which ends the stream.
+type pumpConn struct {
+	net.Conn
+	srv  *Server
+	act  connActivity
+	stop error // Shutdown's interrupt, once seen
+	left int   // drain bytes left
+}
+
+func (c *pumpConn) Read(p []byte) (int, error) {
+	if c.stop == nil {
+		c.act.readStart.Store(c.srv.sinceStart())
+		n, err := c.Conn.Read(p)
+		c.act.readStart.Store(0)
+		if n > 0 || err == nil || !isDeadlineErr(err) || c.act.evicted.Load() {
+			return n, err
+		}
+		c.stop, c.left = err, drainReadBudget
+	}
+	if n := readPending(c.Conn, p[:min(len(p), c.left)]); n > 0 {
+		c.left -= n
+		return n, nil
+	}
+	return 0, c.stop
+}
+
 // readEnd classifies the error that stopped a goroutine pump's reads. A
 // read deadline is an idle eviction when the sweeper armed it, and
 // otherwise Shutdown's interrupt: the end of the stream, drained.
@@ -225,7 +263,7 @@ func readEnd(err error, act *connActivity) (readErr error, evicted bool) {
 	case err == io.EOF:
 		return nil, false
 	case isDeadlineErr(err):
-		return nil, act != nil && act.evicted.Load()
+		return nil, act.evicted.Load()
 	}
 	return err, false
 }

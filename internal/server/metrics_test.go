@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/memdos/sds/internal/detect"
 	"github.com/memdos/sds/internal/pcm"
 )
 
@@ -95,7 +94,7 @@ func TestMetricsInProcessShardRows(t *testing.T) {
 		if i%3 == 0 {
 			st.Close()
 		}
-		want[detect.Stripe(vm)%shards] += uint64(n)
+		want[stripe(vm)%shards] += uint64(n)
 		total += uint64(n)
 	}
 
@@ -140,7 +139,7 @@ func TestStreamObserveBatchCountsShardRow(t *testing.T) {
 	if m.TotalSamples != total {
 		t.Errorf("total_samples = %d, want %d", m.TotalSamples, total)
 	}
-	home := detect.Stripe("batched") % shards
+	home := stripe("batched") % shards
 	for i, row := range m.Shards {
 		want := uint64(0)
 		if i == home {

@@ -64,7 +64,7 @@ type Options struct {
 	Config         detect.Config
 	KSConfig       detect.KSTestConfig
 	// Shards is the number of ingest shards (default runtime.GOMAXPROCS(0)).
-	// Every stream is affine to one shard — shard = detect.Stripe of the VM
+	// Every stream is affine to one shard — shard = stripe of the VM
 	// name mod Shards — so shard-local state never crosses shards; see
 	// shard.go for the model.
 	Shards int
@@ -372,11 +372,9 @@ func (s *Server) serveConn(conn net.Conn) (handed bool) {
 		// Both TCP and unix-socket conns expose the setter.
 		rb.SetReadBuffer(256 * 1024)
 	}
-	var act *connActivity
-	var src io.Reader = conn
+	src := &pumpConn{Conn: conn, srv: s}
+	act := &src.act
 	if s.opts.IdleTimeout > 0 {
-		act = &connActivity{}
-		src = &sweptConn{Conn: conn, act: act, srv: s}
 		s.track(conn, act)
 		s.startSweeper() // covers handlers invoked outside Serve
 	}

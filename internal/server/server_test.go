@@ -351,6 +351,68 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestServerCSVShutdownDrainsSocket: rows a CSV client has already sent
+// when Shutdown starts sit unread in the socket's receive buffer, because
+// the pump is busy (here: blocked in the log hook on a quarantined row).
+// Shutdown's read interrupt must not drop them; the done line counts them
+// all, as the event loop's drain does for binary streams.
+func TestServerCSVShutdownDrainsSocket(t *testing.T) {
+	const (
+		tpcm   = 0.01
+		before = 500
+		after  = 1000 // written while the pump is blocked; ≈ 25 KB, well inside the receive buffer
+	)
+	blocked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s, addr := startServer(t, Options{ProfileSeconds: 20, Logf: func(format string, args ...any) {
+		if strings.Contains(format, "quarantined malformed line") {
+			once.Do(func() { close(blocked) })
+			<-release
+		}
+	}})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	res := readResponses(t, conn, func() {
+		fmt.Fprintf(conn, "sds/1 vm=csvdrain profile=20\n")
+		conn.Write(synthCSV(0, before, tpcm, 100))
+		conn.Write([]byte("not,a,row\n"))
+		<-blocked
+		body := synthCSV(before, before+after, tpcm, 100)
+		body = body[bytes.IndexByte(body, '\n')+1:] // no second header
+		if _, err := conn.Write(body); err != nil {
+			t.Errorf("body write: %v", err)
+		}
+		time.Sleep(50 * time.Millisecond) // let the rows reach the server's socket
+		shut := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			shut <- s.Shutdown(ctx)
+		}()
+		for !s.draining.Load() {
+			time.Sleep(time.Millisecond)
+		}
+		// Shutdown arms the read deadlines under s.mu right after it sets
+		// the draining flag.
+		time.Sleep(50 * time.Millisecond)
+		s.mu.Lock()
+		s.mu.Unlock()
+		close(release)
+		if err := <-shut; err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	if res.done == nil {
+		t.Fatal("no done line after drain")
+	}
+	if res.done.samples != before+after {
+		t.Errorf("done counts %d samples, want %d: rows in the socket at shutdown were dropped", res.done.samples, before+after)
+	}
+}
+
 // TestServerHandshakeErrors: malformed handshakes and duplicate VMs are
 // rejected with error lines, not crashes.
 func TestServerHandshakeErrors(t *testing.T) {

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/memdos/sds/internal/detect"
 	"github.com/memdos/sds/internal/pcm"
 )
 
@@ -14,7 +12,7 @@ import (
 // shards (default runtime.GOMAXPROCS(0)), and every network stream is
 // affine to exactly one of them for its whole life. Affinity is derived
 // from the VM name, not the accepting listener: ingest shard =
-// detect.Stripe(vm) mod shard count, so a VM that disconnects and resumes
+// stripe(vm) mod shard count, so a VM that disconnects and resumes
 // always lands back on the same shard (the affinity invariant the race
 // tests pin: one VM's samples are never observed from two shards
 // concurrently). In-process streams count into their VM's shard row too.
@@ -65,7 +63,20 @@ func (sh *ingestShard) observe(sess *Session, batch []pcm.Sample) (int, error) {
 
 // shardFor maps a VM name to its ingest shard.
 func (s *Server) shardFor(vm string) *ingestShard {
-	return s.shards[detect.Stripe(vm)%len(s.shards)]
+	return s.shards[stripe(vm)%len(s.shards)]
+}
+
+// stripe maps a VM name to one of 64 stripes by FNV-1a, inlined so the hot
+// path allocates nothing (hash/fnv would force the string through an
+// io.Writer). The mapping is part of the deployment contract: a VM keeps
+// its shard across releases, so it must not change.
+func stripe(vm string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(vm); i++ {
+		h ^= uint32(vm[i])
+		h *= 16777619
+	}
+	return int(h & 63)
 }
 
 // eventLoop returns the shard's event loop, starting it on first use.
@@ -110,23 +121,6 @@ func (s *Server) sinceStart() int64 { return int64(time.Since(s.start)) }
 type connActivity struct {
 	readStart atomic.Int64
 	evicted   atomic.Bool
-}
-
-// sweptConn stamps read liveness for the sweep. It arms no deadlines
-// itself; the sweeper sets a deadline in the past to interrupt a read it
-// has decided to evict, and Shutdown does the same to every tracked conn,
-// so the pump tells the two apart via act.evicted + the draining flag.
-type sweptConn struct {
-	net.Conn
-	act *connActivity
-	srv *Server
-}
-
-func (c *sweptConn) Read(p []byte) (int, error) {
-	c.act.readStart.Store(c.srv.sinceStart())
-	n, err := c.Conn.Read(p)
-	c.act.readStart.Store(0)
-	return n, err
 }
 
 // sweepPeriod is the idle-sweep granularity: fine enough that an eviction

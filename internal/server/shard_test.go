@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"net"
 	"path/filepath"
 	"runtime"
@@ -10,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/memdos/sds/internal/detect"
 	"github.com/memdos/sds/internal/feed"
 	"github.com/memdos/sds/internal/pcm"
 )
@@ -110,13 +110,27 @@ func TestListenShardsFallback(t *testing.T) {
 	})
 }
 
+// TestStripeIsFNV1a pins the stripe mapping to FNV-1a of the name, masked
+// to 64 stripes. sdsd routes a VM to ingest shard stripe(vm) mod shards,
+// so this is also what keeps a VM on the same shard across releases.
+func TestStripeIsFNV1a(t *testing.T) {
+	for i := 0; i < 4096; i++ {
+		vm := fmt.Sprintf("vm-%05d", i)
+		h := fnv.New32a()
+		h.Write([]byte(vm))
+		if got, want := stripe(vm), int(h.Sum32()&63); got != want {
+			t.Fatalf("stripe(%q) = %d, want %d", vm, got, want)
+		}
+	}
+}
+
 // TestShardAffinity is the affinity invariant under -race: every VM's
 // samples are accounted on exactly the shard its name stripes to, no
 // matter which accept queue or decode path (event loop vs pump) carried
 // them. With concurrent binary streams on all shards, any cross-shard
 // observation shows up as a counter mismatch — and as a data race on
-// session state. The expected shard comes from detect.Stripe, the one
-// stripe function the detect.Fleet registry uses too.
+// session state. The expected shard comes from stripe, the function
+// shardFor routes by.
 func TestShardAffinity(t *testing.T) {
 	const (
 		vms     = 16
@@ -144,7 +158,7 @@ func TestShardAffinity(t *testing.T) {
 
 	expected := make([]uint64, len(s.shards))
 	for i := 0; i < vms; i++ {
-		expected[detect.Stripe(fmt.Sprintf("aff-%02d", i))%len(s.shards)] += total
+		expected[stripe(fmt.Sprintf("aff-%02d", i))%len(s.shards)] += total
 	}
 	var sum uint64
 	for i, sh := range s.shards {

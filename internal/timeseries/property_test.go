@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -229,4 +230,78 @@ func TestMovingAverageSettlesProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzMovingAverager drives the block-mean averager with arbitrary window
+// geometry and counter streams, where a tag byte of 0xF0 or more splices in
+// eight raw float64 bytes (NaN, ±Inf, huge or subnormal values). It checks
+// three things: emissions land exactly at sample W and then every ΔW;
+// every emission whose window holds no value above 1e15 in magnitude (or
+// NaN) matches the exact window mean to 1e-9 relative; and g = gcd(W, ΔW)
+// Push calls give bit for bit what one PushBlock of their mean gives.
+func FuzzMovingAverager(f *testing.F) {
+	f.Add(uint8(199), uint8(49), []byte{1, 2, 3, 250, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 9})
+	f.Add(uint8(199), uint8(149), []byte{7, 0xff, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 200})
+	f.Add(uint8(199), uint8(29), []byte{0xf5, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x48})
+	f.Add(uint8(0), uint8(0), []byte{42})
+	f.Fuzz(func(t *testing.T, wRaw, dwRaw uint8, raw []byte) {
+		w := 1 + int(wRaw)
+		dw := 1 + int(dwRaw)%w
+		var data []float64
+		for i := 0; len(data) < 4096 && len(raw) > 0; i++ {
+			tag := raw[0]
+			raw = raw[1:]
+			if tag < 0xf0 || len(raw) < 8 {
+				data = append(data, float64(tag)*1e3+float64(i%7)*0.125)
+				continue
+			}
+			x := math.Float64frombits(binary.LittleEndian.Uint64(raw))
+			raw = raw[8:]
+			if math.Abs(x) <= 1e15 {
+				x = math.Abs(x) // counters are non-negative
+			}
+			data = append(data, x)
+		}
+		// Repeat the stream so every geometry fills several windows.
+		for len(data) > 0 && len(data) < 3*w+dw {
+			data = append(data, data...)
+		}
+
+		m, err := NewMovingAverager(w, dw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk, _ := NewMovingAverager(w, dw)
+		g := gcd(w, dw)
+		last := -1 << 30 // index of the newest value above 1e15 (or NaN)
+		var bsum float64
+		for i, x := range data {
+			if !(math.Abs(x) <= 1e15) {
+				last = i
+			}
+			v, ok := m.Push(x)
+			if want := i+1 >= w && (i+1-w)%dw == 0; ok != want {
+				t.Fatalf("W=%d ΔW=%d: sample %d emitted=%v, want %v", w, dw, i, ok, want)
+			}
+			bsum += x
+			if (i+1)%g == 0 {
+				bv, bok := blk.PushBlock(bsum / float64(g))
+				bsum = 0
+				if bok != ok || math.Float64bits(bv) != math.Float64bits(v) {
+					t.Fatalf("W=%d ΔW=%d: sample %d Push gave (%v, %v), PushBlock (%v, %v)", w, dw, i, v, ok, bv, bok)
+				}
+			}
+			if !ok || i-last < w {
+				continue
+			}
+			var exact float64
+			for _, y := range data[i-w+1 : i+1] {
+				exact += y
+			}
+			exact /= float64(w)
+			if !(math.Abs(v-exact) <= 1e-9*math.Abs(exact)) {
+				t.Fatalf("W=%d ΔW=%d: at %d MA %v, exact window mean %v", w, dw, i, v, exact)
+			}
+		}
+	})
 }

@@ -17,20 +17,27 @@ var ErrBadWindow = errors.New("timeseries: window and step sizes must be positiv
 // MovingAverager computes the sliding-window moving average of a stream
 // (paper Eq. 1): the average of the last W raw samples, emitted once the
 // first window fills and then every ΔW new samples.
+//
+// Eq. 1 is only read at ΔW boundaries, so the averager keeps no raw
+// samples. It cuts the stream into blocks of g = gcd(W, ΔW) samples and
+// keeps a ring of the last W/g block means; every window boundary is a
+// block boundary, and M_n is the mean of the ring's block means. Push
+// accumulates one block and hands its mean to PushBlock; a caller that
+// already has block means (cloudsim's window fidelity draws one per ΔW
+// samples) calls PushBlock directly and gets the same arithmetic.
+//
+// Every emission sums the ring afresh, so a corrupt sample (even one that
+// overflows to ±Inf or NaN) leaves the average exactly when its block
+// leaves the window.
 type MovingAverager struct {
-	w, dw int
-	buf   []float64 // ring buffer of the last w samples
-	next  int       // ring index of the next slot to overwrite
-	count int       // total samples observed
-	sum   float64
-	since int // samples since last emission
+	g      int       // block length gcd(W, ΔW)
+	stride int       // blocks per step, ΔW/g
+	blocks []float64 // ring of the last W/g block means
+	next   int       // ring index of the next block to overwrite
+	wait   int       // blocks still to push before the next emission
+	bn     int       // samples in the current block
+	bsum   float64   // sum of the current block
 }
-
-// healRatio is how far an evicted value may outweigh the rest of the
-// window before Push recomputes the sum. The rounding error a value leaves
-// in the sum is at most about W·2^-53 of its size, so at 2^10 the rest
-// keeps about 2e-11 relative accuracy for the Table 1 window (W = 200).
-const healRatio = 1 << 10
 
 // NewMovingAverager returns a streaming moving averager with window size w
 // and step size dw.
@@ -38,78 +45,54 @@ func NewMovingAverager(w, dw int) (*MovingAverager, error) {
 	if w <= 0 || dw <= 0 || dw > w {
 		return nil, fmt.Errorf("%w (W=%d, ΔW=%d)", ErrBadWindow, w, dw)
 	}
-	return &MovingAverager{w: w, dw: dw, buf: make([]float64, w)}, nil
+	g := gcd(w, dw)
+	return &MovingAverager{g: g, stride: dw / g, blocks: make([]float64, w/g), wait: w / g}, nil
 }
 
-// Window returns the configured window size W.
-func (m *MovingAverager) Window() int { return m.w }
-
-// Step returns the configured step size ΔW.
-func (m *MovingAverager) Step() int { return m.dw }
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
 
 // Push observes one raw sample. It returns the new moving-average value and
 // true when a window boundary is reached, otherwise (0, false).
-//
-// The warm path (window full) comes first and touches neither count nor the
-// fill logic: on the ingest hot path virtually every call lands there, and
-// the detector pipeline runs several averagers per raw sample. The eviction
-// subtract and the insertion add stay separate statements — fusing them into
-// sum += x - old changes the rounding and would break the bit-exact golden
-// transcripts.
-//
-// The running sum heals itself. When the evicted value outweighs what
-// remains by more than healRatio (or the sum is NaN), the rounding error the
-// evicted value left behind can swamp the rest, so the sum is recomputed
-// from the ring. An infinite sum, which the ratio test cannot see, is
-// recomputed at the next emission. Ordinary streams take neither branch.
 func (m *MovingAverager) Push(x float64) (float64, bool) {
-	if m.count >= m.w {
-		old := m.buf[m.next]
-		m.sum -= old
-		m.buf[m.next] = x
-		// Conditional wrap: integer division is measurably slower than a
-		// predictable branch on this per-sample path.
-		if m.next++; m.next == m.w {
-			m.next = 0
-		}
-		if math.Abs(old) <= healRatio*math.Abs(m.sum) {
-			m.sum += x
-		} else {
-			m.resum()
-		}
-		if m.since++; m.since == m.dw {
-			m.since = 0
-			if math.IsInf(m.sum, 0) {
-				m.resum()
-			}
-			return m.sum / float64(m.w), true
-		}
+	m.bsum += x
+	if m.bn++; m.bn < m.g {
 		return 0, false
 	}
-	m.buf[m.next] = x
-	if m.next++; m.next == m.w {
-		m.next = 0
-	}
-	m.sum += x
-	m.count++
-	if m.count < m.w {
-		return 0, false
-	}
-	m.since = 0
-	return m.sum / float64(m.w), true
+	mean := m.bsum / float64(m.g)
+	m.bn, m.bsum = 0, 0
+	return m.PushBlock(mean)
 }
 
-// resum recomputes the running sum from the full ring.
-func (m *MovingAverager) resum() {
-	m.sum = 0
-	for _, v := range m.buf {
-		m.sum += v
+// PushBlock observes the mean of one block of gcd(W, ΔW) consecutive
+// samples. It returns the new moving-average value and true when the block
+// ends a window, otherwise (0, false). It must not be mixed with Push
+// inside a block.
+func (m *MovingAverager) PushBlock(mean float64) (float64, bool) {
+	m.blocks[m.next] = mean
+	// Conditional wrap: integer division is measurably slower than a
+	// predictable branch on this path.
+	if m.next++; m.next == len(m.blocks) {
+		m.next = 0
 	}
+	if m.wait--; m.wait > 0 {
+		return 0, false
+	}
+	m.wait = m.stride
+	var sum float64
+	for _, b := range m.blocks {
+		sum += b
+	}
+	return sum / float64(len(m.blocks)), true
 }
 
 // Reset discards all buffered samples.
 func (m *MovingAverager) Reset() {
-	m.count, m.next, m.since, m.sum = 0, 0, 0, 0
+	m.next, m.wait, m.bn, m.bsum = 0, len(m.blocks), 0, 0
 }
 
 // EWMA computes the exponentially weighted moving average (paper Eq. 2):

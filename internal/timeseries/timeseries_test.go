@@ -66,28 +66,28 @@ func TestMovingAverageEmissionSchedule(t *testing.T) {
 }
 
 func TestMovingAverageMatchesPaperEquation(t *testing.T) {
-	// Eq. 1: M_n = mean of raw samples {A_{1+n·ΔW} .. A_{W+n·ΔW}}.
-	const (
-		w  = 200
-		dw = 50
-	)
-	r := randx.New(1, 1)
-	data := make([]float64, 1000)
-	for i := range data {
-		data[i] = r.Uniform(0, 100)
-	}
-	got, err := MovingAverage(data, w, dw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantN := (len(data)-w)/dw + 1
-	if len(got) != wantN {
-		t.Fatalf("got %d windows, want %d", len(got), wantN)
-	}
-	for n := range got {
-		want := Mean(data[n*dw : n*dw+w])
-		if math.Abs(got[n]-want) > 1e-9 {
-			t.Fatalf("window %d = %v, want %v", n, got[n], want)
+	// Eq. 1: M_n = mean of raw samples {A_{1+n·ΔW} .. A_{W+n·ΔW}}. Table 1's
+	// geometry has gcd(W, ΔW) = ΔW; the other two rows have blocks shorter
+	// than the step (Fig. 16's ΔW = 150, and ΔW = 30 with gcd 10).
+	for _, tc := range []struct{ w, dw int }{{200, 50}, {200, 150}, {200, 30}} {
+		r := randx.New(1, 1)
+		data := make([]float64, 1000)
+		for i := range data {
+			data[i] = r.Uniform(0, 100)
+		}
+		got, err := MovingAverage(data, tc.w, tc.dw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantN := (len(data)-tc.w)/tc.dw + 1
+		if len(got) != wantN {
+			t.Fatalf("W=%d ΔW=%d: got %d windows, want %d", tc.w, tc.dw, len(got), wantN)
+		}
+		for n := range got {
+			want := Mean(data[n*tc.dw : n*tc.dw+tc.w])
+			if math.Abs(got[n]-want) > 1e-9 {
+				t.Fatalf("W=%d ΔW=%d: window %d = %v, want %v", tc.w, tc.dw, n, got[n], want)
+			}
 		}
 	}
 }

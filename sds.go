@@ -44,10 +44,6 @@ type (
 	// Reprofiler wraps SDS with the paper's §6 re-profiling workflow for
 	// applications whose behaviour legitimately changes over time.
 	Reprofiler = detect.Reprofiler
-	// Fleet manages the detectors of every protected VM on one server.
-	Fleet = detect.Fleet
-	// VMAlarm pairs an alarm with the protected VM it concerns.
-	VMAlarm = detect.VMAlarm
 	// Sanitizer guards a detector against malformed PCM input.
 	Sanitizer = detect.Sanitizer
 
@@ -125,9 +121,6 @@ func WithKSTestCheckHook(hook func(CheckStat)) KSTestOption {
 func NewReprofiler(app string, initial Profile, cfg Config, bufferSeconds float64) (*Reprofiler, error) {
 	return detect.NewReprofiler(app, initial, cfg, bufferSeconds)
 }
-
-// NewFleet returns an empty per-server detector fleet.
-func NewFleet() *Fleet { return detect.NewFleet() }
 
 // NewSanitizer wraps a detector with input validation: NaN, negative or
 // impossibly large counters and out-of-order timestamps are dropped, never
