@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench-all bench-scale cover cover-check chaos goldens verify repro smoke smoke-cloudsim smoke-evasion fuzz-smoke examples clean
+.PHONY: all build test race vet bench-all bench-scale cover cover-check chaos goldens verify repro smoke smoke-cloudsim smoke-evasion fuzz-smoke examples loc clean
 
 all: build vet test
 
@@ -107,6 +107,13 @@ fuzz-smoke:
 	$(GO) test ./internal/feed -run=NONE -fuzz=FuzzBinRoundTrip -fuzztime=5s
 	$(GO) test ./internal/attack -run=NONE -fuzz=FuzzStrategyIntensity -fuzztime=5s
 	$(GO) test ./internal/timeseries -run=NONE -fuzz=FuzzMovingAverager -fuzztime=5s
+
+# The code-size count a simplification reports before and after: the
+# non-blank, non-comment lines of the non-test Go files outside bench/ and
+# .bench_build/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' \
+		| xargs cat | grep -vE '^\s*(//.*)?$$' | wc -l
 
 clean:
 	rm -f cover.out test_output.txt

@@ -590,13 +590,11 @@ func streamVM(cfg config, vm string, seed uint64, pre *body, conn net.Conn, addr
 	// The server streams alarm lines inline, so read concurrently with the
 	// write — an unread response buffer would backpressure our own stream.
 	type doneInfo struct {
-		samples int
-		err     error
+		samples, alarms int
+		err             error
 	}
 	resp := make(chan doneInfo, 1)
-	alarmCount := make(chan int, 1)
 	go func() {
-		alarms := 0
 		var d doneInfo
 		d.samples = -1
 		sc := bufio.NewScanner(br)
@@ -605,7 +603,7 @@ func streamVM(cfg config, vm string, seed uint64, pre *body, conn net.Conn, addr
 			line := sc.Text()
 			switch {
 			case strings.HasPrefix(line, "alarm "):
-				alarms++
+				d.alarms++
 			case strings.HasPrefix(line, "error: "):
 				d.err = fmt.Errorf("server: %s", strings.TrimPrefix(line, "error: "))
 			case strings.HasPrefix(line, "done "):
@@ -619,7 +617,6 @@ func streamVM(cfg config, vm string, seed uint64, pre *body, conn net.Conn, addr
 		if d.err == nil {
 			d.err = sc.Err()
 		}
-		alarmCount <- alarms
 		resp <- d
 	}()
 
@@ -646,9 +643,8 @@ func streamVM(cfg config, vm string, seed uint64, pre *body, conn net.Conn, addr
 	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
 		cw.CloseWrite()
 	}
-	res.alarms = <-alarmCount
 	d := <-resp
-	res.samples = d.samples
+	res.alarms, res.samples = d.alarms, d.samples
 	if d.err != nil {
 		res.err = d.err
 	} else if d.samples < 0 {

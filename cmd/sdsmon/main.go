@@ -53,7 +53,7 @@ func run(app, kindName string, attackAt, duration float64, schemeName string, se
 	cfg.Seed = seed
 
 	fmt.Printf("profiling %s (Stage 1, %.0f s of attack-free telemetry)...\n", app, cfg.ProfileSeconds)
-	prof, det, flag, err := cfg.BuildDetector(app, experiment.Scheme(scheme.Name), seed)
+	prof, det, err := cfg.BuildDetector(app, experiment.Scheme(scheme.Name), seed)
 	if err != nil {
 		return err
 	}
@@ -80,7 +80,7 @@ func run(app, kindName string, attackAt, duration float64, schemeName string, se
 		if sched.Kind != attack.None && now-tpcm < attackAt && now >= attackAt {
 			fmt.Printf("[%7.2fs] >>> %v attack launched (ramp %.0f s)\n", now, kind, sched.Ramp)
 		}
-		a, m := model.Sample(tpcm, sched.Env(now, flag.Paused()))
+		a, m := model.Sample(tpcm, sched.Env(now, detect.Collecting(det)))
 		det.Observe(pcm.Sample{T: now, Access: a, Miss: m})
 		if det.Alarmed() != wasAlarmed {
 			wasAlarmed = det.Alarmed()

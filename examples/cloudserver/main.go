@@ -38,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseline, err := sds.NewKSTest(sds.DefaultKSTestConfig(), nil)
+	baseline, err := sds.NewKSTest(sds.DefaultKSTestConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

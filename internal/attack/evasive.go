@@ -381,19 +381,6 @@ func (c Coordinated) Members() []DutyCycle {
 	return out
 }
 
-// Member returns member i's strategy (i taken modulo the member count);
-// the zero-member degenerate returns a silent DutyCycle.
-func (c Coordinated) Member(i int) DutyCycle {
-	if len(c.members) == 0 {
-		return DutyCycle{}
-	}
-	i %= len(c.members)
-	if i < 0 {
-		i += len(c.members)
-	}
-	return c.members[i]
-}
-
 // Name implements Strategy.
 func (c Coordinated) Name() string { return StrategyCoordinated }
 

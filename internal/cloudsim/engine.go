@@ -203,7 +203,7 @@ func (e *engine) newVM(id int, r role, app string, monitored bool) (*vm, error) 
 // on the destination host; the per-application profile is the same
 // statistical object, so the engine reuses it).
 func (e *engine) attachDetector(v *vm) error {
-	v.det, v.wobs, v.counter, v.probe = nil, nil, nil, nil
+	v.det, v.wobs = nil, nil
 	v.alarmsSeen = 0
 	if e.window {
 		v.maA.Reset()
@@ -216,14 +216,12 @@ func (e *engine) attachDetector(v *vm) error {
 			return err
 		}
 	}
-	d, err := e.scheme.New(prof, e.cfg, e.sc.KSTest, nil)
+	d, err := e.scheme.New(prof, e.cfg, e.sc.KSTest)
 	if err != nil {
 		return err
 	}
 	v.det = d
 	v.wobs, _ = d.(detect.WindowObserver)
-	v.counter, _ = d.(detect.AlarmCounter)
-	v.probe, _ = d.(collectProbe)
 	return nil
 }
 
@@ -358,7 +356,7 @@ func (e *engine) advanceHost(h *host, to int64) bool {
 				maM, _ := v.maM.PushBlock(m)
 				if ok {
 					v.wobs.ObserveMA(t1, maA, maM)
-					if n := v.counter.AlarmCount(); n > v.alarmsSeen {
+					if n := v.det.AlarmCount(); n > v.alarmsSeen {
 						v.alarmsSeen = n
 						e.onAlarm(h, v, t1, end)
 						stopped = true
@@ -380,7 +378,7 @@ func (e *engine) advanceHost(h *host, to int64) bool {
 					continue
 				}
 				var env workload.Env
-				if v.probe != nil && v.probe.Collecting() {
+				if detect.Collecting(v.det) {
 					env = workload.Env{Quiesced: true}
 				} else {
 					env = workload.Env{BusLock: bus, Cleanse: cl}
@@ -388,7 +386,7 @@ func (e *engine) advanceHost(h *host, to int64) bool {
 				a, m := v.model.Sample(e.tpcm, env)
 				v.det.Observe(pcm.Sample{T: t1, Access: a, Miss: m})
 				e.res.SamplesRepresented++
-				if n := v.counter.AlarmCount(); n > v.alarmsSeen {
+				if n := v.det.AlarmCount(); n > v.alarmsSeen {
 					v.alarmsSeen = n
 					e.onAlarm(h, v, t1, end)
 					stopped = true

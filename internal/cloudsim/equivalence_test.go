@@ -97,7 +97,7 @@ func TestEngineReproducesLockstepSimulate(t *testing.T) {
 func newReferenceDetector(t *testing.T, scheme, app string, seed uint64, profileSeconds float64, cfg detect.Config) (detect.Detector, error) {
 	t.Helper()
 	if scheme == "KStest" {
-		return detect.NewKSTest(detect.DefaultKSTestConfig(), nil)
+		return detect.NewKSTest(detect.DefaultKSTestConfig())
 	}
 	prof, err := Stage1Profile(app, seed, profileSeconds, cfg)
 	if err != nil {

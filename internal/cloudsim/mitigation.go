@@ -66,10 +66,10 @@ func (e *engine) handleVerifyThrottle(v *vm, now float64) {
 // as failed.
 func (e *engine) handleVerifyMigrate(v *vm) {
 	v.mitPending = false
-	if v.host < 0 || v.counter == nil {
+	if v.host < 0 || v.det == nil {
 		return
 	}
-	if v.counter.AlarmCount() > 0 {
+	if v.det.AlarmCount() > 0 {
 		e.res.ReAlarms++
 	} else {
 		e.res.Recoveries++

@@ -20,10 +20,6 @@ const (
 	roleAttacker
 )
 
-// collectProbe is the KStest reference-collection probe (see Simulate): the
-// engine reads it instead of passing the detector a Throttler.
-type collectProbe interface{ Collecting() bool }
-
 // vm is one virtual machine. Telemetry state is only populated for
 // monitored VMs; attacker state only for roleAttacker.
 type vm struct {
@@ -40,8 +36,6 @@ type vm struct {
 	bm        *blockModel     // FidelityWindow
 	det       detect.Detector
 	wobs      detect.WindowObserver
-	counter   detect.AlarmCounter
-	probe     collectProbe // KStest only
 	// maA/maM assemble the moving averages from the block model's ΔW-sample
 	// block means (FidelityWindow), one observation per block once a window
 	// is full, preserving the exact pipeline's window overlap.

@@ -47,7 +47,7 @@ func TestDetectorAccessors(t *testing.T) {
 		t.Errorf("SDS name = %q", s.Name())
 	}
 
-	k, err := NewKSTest(DefaultKSTestConfig(), nil)
+	k, err := NewKSTest(DefaultKSTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

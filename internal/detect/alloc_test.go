@@ -41,7 +41,7 @@ func TestObserveZeroAlloc(t *testing.T) {
 	prof := steadyProfile(t, workload.FaceNet, 75)
 	for _, s := range Schemes() {
 		t.Run(s.Name, func(t *testing.T) {
-			d, err := s.New(prof, DefaultConfig(), DefaultKSTestConfig(), nil)
+			d, err := s.New(prof, DefaultConfig(), DefaultKSTestConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -57,7 +57,6 @@ type CUSUM struct {
 
 var _ Detector = (*CUSUM)(nil)
 var _ WindowObserver = (*CUSUM)(nil)
-var _ AlarmCounter = (*CUSUM)(nil)
 
 // NewCUSUM returns a CUSUM detector for an application with the given
 // Stage-1 profile.

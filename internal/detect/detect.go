@@ -63,7 +63,9 @@ type Alarm struct {
 }
 
 // Detector is the streaming interface every scheme implements: feed it PCM
-// samples in time order and inspect its alarm state.
+// samples in time order and inspect its alarm state. Together with
+// Collecting it is the whole contract a plane needs to drive a detector,
+// quiesce co-located VMs around it and count its alarms.
 type Detector interface {
 	// Name returns the scheme name used in reports.
 	Name() string
@@ -74,6 +76,21 @@ type Detector interface {
 	Alarmed() bool
 	// Alarms returns every alarm raised so far (rising edges only).
 	Alarms() []Alarm
+	// AlarmCount returns len(Alarms()) without copying the alarms.
+	// Per-sample consumers (the server's session loop, cloudsim) poll it
+	// and call Alarms only when it moved, keeping the steady-state Observe
+	// path allocation-free.
+	AlarmCount() int
+}
+
+// Collecting reports whether d is a KStest detector that is collecting
+// reference samples, the one state in which every VM co-located with the
+// protected one must be throttled (paper §3.2). It is false for nil and
+// for every other scheme. Planes read it between samples: it flips only
+// inside Observe.
+func Collecting(d Detector) bool {
+	k, ok := d.(*KSTest)
+	return ok && k.collecting
 }
 
 // WindowObserver is the window-level batch-observation contract next to
@@ -86,14 +103,6 @@ type Detector interface {
 // Observe or ObserveMA for its whole lifetime, never a mix.
 type WindowObserver interface {
 	ObserveMA(t float64, maAccess, maMiss float64)
-}
-
-// AlarmCounter is the optional fast path next to Detector.Alarms: it
-// reports how many alarms have been raised without copying them. Per-sample
-// consumers (the server's session loop) poll the count and call Alarms()
-// only when it moved, keeping the steady-state Observe path allocation-free.
-type AlarmCounter interface {
-	AlarmCount() int
 }
 
 // Config carries the SDS parameters of the paper's Table 1. The zero value
@@ -136,21 +145,15 @@ type Config struct {
 	// CusumH is the CUSUM decision interval in σ_E units; the alarm raises
 	// when either one-sided statistic reaches it. Zero selects 8.
 	CusumH float64
-	// FragWindow is TimeFrag's evaluation window length in MA windows.
-	// Zero selects 60 (30 s at Table 1 geometry).
-	FragWindow int
-	// FragFrac is the fraction of suspicious windows within FragWindow
-	// that raises the TimeFrag alarm. Zero selects 0.5 — the same 30
-	// suspicious windows as H_C, but without the consecutiveness demand.
+	// FragFrac is the fraction of suspicious windows within TimeFrag's
+	// 60-window evaluation span that raises its alarm. Zero selects 0.5 —
+	// the same 30 suspicious windows as H_C, but without the
+	// consecutiveness demand.
 	FragFrac float64
-	// VarBeta is EWMAVar's variance-smoothing factor. Zero selects 0.05.
-	VarBeta float64
 	// VarCalib is EWMAVar's self-calibration length in MA windows (the
 	// leading monitored windows it learns its own variance baseline from).
 	// Zero selects 100.
 	VarCalib int
-	// VarH is EWMAVar's consecutive-violation threshold. Zero selects 10.
-	VarH int
 }
 
 // DefaultConfig returns the paper's Table 1 parameters.
@@ -192,10 +195,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("detect: period tolerance must be in (0,1), got %v", c.PeriodTolerance)
 	case c.CusumK < 0 || c.CusumH < 0:
 		return fmt.Errorf("detect: CUSUM slack/interval must be ≥ 0 (0 = default), got k=%v H=%v", c.CusumK, c.CusumH)
-	case c.FragWindow < 0 || c.FragFrac < 0 || c.FragFrac > 1:
-		return fmt.Errorf("detect: TimeFrag window must be ≥ 0 and fraction in [0,1] (0 = default), got W=%d frac=%v", c.FragWindow, c.FragFrac)
-	case c.VarBeta < 0 || c.VarBeta > 1 || c.VarCalib < 0 || c.VarH < 0:
-		return fmt.Errorf("detect: EWMAVar β must be in [0,1] and calib/H ≥ 0 (0 = default), got β=%v calib=%d H=%d", c.VarBeta, c.VarCalib, c.VarH)
+	case c.FragFrac < 0 || c.FragFrac > 1:
+		return fmt.Errorf("detect: TimeFrag fraction must be in [0,1] (0 = default), got %v", c.FragFrac)
+	case c.VarCalib < 0:
+		return fmt.Errorf("detect: EWMAVar calibration length must be ≥ 0 (0 = default), got %d", c.VarCalib)
 	}
 	return nil
 }

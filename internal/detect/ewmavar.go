@@ -7,9 +7,9 @@ import (
 	"github.com/memdos/sds/internal/pcm"
 )
 
-// EWMAVar default knobs (Config.VarBeta/VarCalib/VarH zero values resolve to
-// these: a slow variance smoother, a 100-window self-calibration phase —
-// 50 s at Table 1 geometry — and a 10-window consecutive-violation streak).
+// EWMAVar knobs: a slow variance smoother β = 0.05, a 100-window
+// self-calibration phase — 50 s at Table 1 geometry — when Config.VarCalib
+// is zero, and a consecutive-violation streak of H_V = 10 windows.
 const (
 	defaultVarBeta  = 0.05
 	defaultVarCalib = 100
@@ -19,8 +19,8 @@ const (
 	// the swept boundary factor k: the violation band is μ_v ± k·varBandMult·σ_v.
 	// Two structural properties of v demand it. First, v is itself an
 	// exponentially smoothed second moment, so consecutive v values are
-	// correlated over ~1/β windows — a VarH-long violation streak is not
-	// the (1/k²)^VarH rare event it would be for independent values, and
+	// correlated over ~1/β windows — an H_V-long violation streak is not
+	// the (1/k²)^H_V rare event it would be for independent values, and
 	// the streak filter alone cannot carry the false-alarm budget the way
 	// H_C does for SDS/B. Second, squared deviations are heavier-tailed
 	// than the deviations themselves. The headroom restores a workable
@@ -43,7 +43,7 @@ const (
 //
 // (the EWMS/EWMV estimator of Finch 2009), self-calibrates the normal range
 // of v over the first VarCalib windows of live traffic, and alarms after
-// VarH consecutive windows in which either counter's v falls outside
+// H_V consecutive windows in which either counter's v falls outside
 // μ_v ± k·σ_v, with the same boundary factor k the SDS schemes use.
 //
 // The signal is deliberately orthogonal to SDS/B's: a level detector watches
@@ -84,7 +84,6 @@ type EWMAVar struct {
 
 var _ Detector = (*EWMAVar)(nil)
 var _ WindowObserver = (*EWMAVar)(nil)
-var _ AlarmCounter = (*EWMAVar)(nil)
 
 // NewEWMAVar returns an EWMAVar detector. The Stage-1 profile is carried for
 // provenance only: unlike the SDS schemes, EWMAVar self-calibrates its
@@ -100,18 +99,12 @@ func NewEWMAVar(prof Profile, cfg Config) (*EWMAVar, error) {
 		cfg:      cfg,
 		prof:     prof,
 		k:        cfg.K,
-		beta:     cfg.VarBeta,
+		beta:     defaultVarBeta,
 		calibN:   cfg.VarCalib,
-		varH:     cfg.VarH,
-	}
-	if d.beta == 0 {
-		d.beta = defaultVarBeta
+		varH:     defaultVarH,
 	}
 	if d.calibN == 0 {
 		d.calibN = defaultVarCalib
-	}
-	if d.varH == 0 {
-		d.varH = defaultVarH
 	}
 	d.burnLeft = int(varBurnInFactor / d.beta)
 	return d, nil
@@ -219,10 +212,6 @@ func varBounds(mean, m2 float64, n int, k float64) (lo, hi float64) {
 	hi = mean + k*sd
 	return lo, hi
 }
-
-// Variances returns the current EWMA variance of each counter's MA series
-// (diagnostics and tests).
-func (d *EWMAVar) Variances() (vA, vM float64) { return d.vA, d.vM }
 
 // VarianceBounds returns the calibrated normal range of each counter's EWMA
 // variance; ok is false before calibration completes.

@@ -82,15 +82,6 @@ func (c KSTestConfig) Validate() error {
 	return nil
 }
 
-// Throttler is the hypervisor hook the baseline needs: it pauses every VM
-// except the protected one while reference samples are collected, and
-// resumes them afterwards. Implementations are provided by the simulation
-// harness; both calls must be idempotent.
-type Throttler interface {
-	PauseOthers()
-	ResumeOthers()
-}
-
 // CheckStat is one KS comparison outcome, exposed to hooks (the 0/1 series
 // of the paper's Fig. 1).
 type CheckStat struct {
@@ -110,8 +101,7 @@ type CheckStat struct {
 // two-sample KS test on both counters, declaring an attack after the
 // configured number of consecutive rejections.
 type KSTest struct {
-	cfg       KSTestConfig
-	throttler Throttler
+	cfg KSTestConfig
 
 	refA, refM []float64
 	refReady   bool
@@ -152,9 +142,11 @@ func WithKSTestCheckHook(hook func(CheckStat)) KSTestOption {
 	return ksCheckHook(hook)
 }
 
-// NewKSTest returns the baseline detector. throttler may be nil when the
-// caller accounts for throttling externally (or ignores it).
-func NewKSTest(cfg KSTestConfig, throttler Throttler, opts ...KSTestOption) (*KSTest, error) {
+// NewKSTest returns the baseline detector; nil options are skipped. The
+// detector throttles nothing itself: a plane that models the hypervisor
+// reads Collecting between samples and quiesces the co-located VMs while
+// it holds.
+func NewKSTest(cfg KSTestConfig, opts ...KSTestOption) (*KSTest, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -163,15 +155,16 @@ func NewKSTest(cfg KSTestConfig, throttler Throttler, opts ...KSTestOption) (*KS
 		return nil, fmt.Errorf("detect: KStest monitored window holds %d samples; need ≥ 2", winLen)
 	}
 	d := &KSTest{
-		cfg:       cfg,
-		throttler: throttler,
-		winA:      make([]float64, winLen),
-		winM:      make([]float64, winLen),
-		monA:      make([]float64, winLen),
-		monM:      make([]float64, winLen),
+		cfg:  cfg,
+		winA: make([]float64, winLen),
+		winM: make([]float64, winLen),
+		monA: make([]float64, winLen),
+		monM: make([]float64, winLen),
 	}
 	for _, o := range opts {
-		o.applyKSTest(d)
+		if o != nil {
+			o.applyKSTest(d)
+		}
 	}
 	return d, nil
 }
@@ -224,9 +217,6 @@ func (d *KSTest) beginReference(t float64) {
 	d.refA = d.refA[:0]
 	d.refM = d.refM[:0]
 	d.refDeadline = t + d.cfg.WR
-	if d.throttler != nil {
-		d.throttler.PauseOthers()
-	}
 }
 
 func (d *KSTest) endReference(t float64) {
@@ -236,9 +226,6 @@ func (d *KSTest) endReference(t float64) {
 	// sort it once here instead of copy+sort at every check.
 	sort.Float64s(d.refA)
 	sort.Float64s(d.refM)
-	if d.throttler != nil {
-		d.throttler.ResumeOthers()
-	}
 	// A fresh reference restarts the verdict: the consecutive count, the
 	// alarm state, and the monitored window (samples collected while others
 	// were throttled are not representative of monitored conditions).
@@ -299,5 +286,6 @@ func (d *KSTest) ringSnapshotInto(out, ring []float64) []float64 {
 }
 
 // Collecting reports whether the detector is currently collecting reference
-// samples (i.e. other VMs are throttled).
+// samples, i.e. other VMs must be throttled (see the package-level
+// Collecting, which planes read).
 func (d *KSTest) Collecting() bool { return d.collecting }

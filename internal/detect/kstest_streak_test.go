@@ -25,7 +25,7 @@ func TestKSTestStreakConfirmationTiming(t *testing.T) {
 	// ConfirmStreaks · Consecutive rejections: with the default 3×4 checks
 	// every 2 s, no earlier than ~24 s after the shift.
 	cfg := DefaultKSTestConfig()
-	d, err := NewKSTest(cfg, nil)
+	d, err := NewKSTest(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestKSTestSingleStreakConfig(t *testing.T) {
 	cfg := DefaultKSTestConfig()
 	cfg.ConfirmStreaks = 1
 	cfg.FreezeBaselineOnSuspicion = false
-	d, err := NewKSTest(cfg, nil)
+	d, err := NewKSTest(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestKSTestRefreshAdaptsToNewBaseline(t *testing.T) {
 	// adopt the new behaviour and clear the alarm: the false alarm is
 	// bounded by the (deferred) refresh schedule.
 	cfg := DefaultKSTestConfig()
-	d, err := NewKSTest(cfg, nil)
+	d, err := NewKSTest(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestKSTestIsolatedAcceptanceDoesNotResetStreaks(t *testing.T) {
 	// acceptances — the behaviour that preserves false positives on
 	// periodic applications, whose rejections are intermittent.
 	cfg := DefaultKSTestConfig()
-	d, err := NewKSTest(cfg, nil)
+	d, err := NewKSTest(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func (l *alarmLog) rise(now bool) bool {
 // Alarmed implements Detector.
 func (l *alarmLog) Alarmed() bool { return l.alarmed }
 
-// AlarmCount implements AlarmCounter.
+// AlarmCount implements Detector.
 func (l *alarmLog) AlarmCount() int { return len(l.alarms) }
 
 // Alarms implements Detector. The returned slice is the caller's to keep,

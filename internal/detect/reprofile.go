@@ -108,9 +108,9 @@ func (r *Reprofiler) Alarms() []Alarm {
 	return append(out, cur...)
 }
 
-// AlarmCount implements AlarmCounter. It is monotone across Reprofile()
+// AlarmCount implements Detector. It is monotone across Reprofile()
 // calls: retired generations keep contributing their alarms.
-func (r *Reprofiler) AlarmCount() int { return len(r.history) + alarmCount(r.det) }
+func (r *Reprofiler) AlarmCount() int { return len(r.history) + r.det.AlarmCount() }
 
 // Reprofiles returns how many times the profile has been rebuilt.
 func (r *Reprofiler) Reprofiles() int { return r.reprofiles }

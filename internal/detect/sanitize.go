@@ -101,21 +101,12 @@ func (s *Sanitizer) Alarms() []Alarm {
 	return s.inner.Alarms()
 }
 
-// AlarmCount implements AlarmCounter.
+// AlarmCount implements Detector.
 func (s *Sanitizer) AlarmCount() int {
 	if s.inner == nil {
 		return 0
 	}
-	return alarmCount(s.inner)
-}
-
-// alarmCount reads a detector's alarm count, through the AlarmCounter fast
-// path when it has one and an Alarms() copy otherwise.
-func alarmCount(d Detector) int {
-	if c, ok := d.(AlarmCounter); ok {
-		return c.AlarmCount()
-	}
-	return len(d.Alarms())
+	return s.inner.AlarmCount()
 }
 
 // Dropped returns the number of malformed samples rejected so far.

@@ -21,6 +21,7 @@ func (c *countingDetector) Name() string         { return "counting" }
 func (c *countingDetector) Observe(s pcm.Sample) { c.observed = append(c.observed, s) }
 func (c *countingDetector) Alarmed() bool        { return c.alarmed }
 func (c *countingDetector) Alarms() []Alarm      { return nil }
+func (c *countingDetector) AlarmCount() int      { return 0 }
 
 func TestSanitizerDropsMalformedSamples(t *testing.T) {
 	inner := &countingDetector{}

@@ -19,8 +19,8 @@ type Scheme struct {
 	// WindowObserver and reads neither the Stage-1 profile nor Config.
 	Raw bool
 	// New builds the detector. Profile-driven schemes read prof and cfg;
-	// raw ones read ks, th and opts.
-	New func(prof Profile, cfg Config, ks KSTestConfig, th Throttler, opts ...KSTestOption) (Detector, error)
+	// raw ones read ks and opts.
+	New func(prof Profile, cfg Config, ks KSTestConfig, opts ...KSTestOption) (Detector, error)
 }
 
 var schemes = []Scheme{
@@ -28,8 +28,8 @@ var schemes = []Scheme{
 	{Name: "SDS/B", Alias: "sdsb", New: profiled(func(p Profile, c Config) (*SDSB, error) { return NewSDSB(p, c) })},
 	{Name: "SDS/P", Alias: "sdsp", New: profiled(func(p Profile, c Config) (*SDSP, error) { return NewSDSP(p, c) })},
 	{Name: "KStest", Alias: "kstest", Raw: true,
-		New: func(_ Profile, _ Config, ks KSTestConfig, th Throttler, opts ...KSTestOption) (Detector, error) {
-			d, err := NewKSTest(ks, th, opts...)
+		New: func(_ Profile, _ Config, ks KSTestConfig, opts ...KSTestOption) (Detector, error) {
+			d, err := NewKSTest(ks, opts...)
 			if err != nil {
 				return nil, err
 			}
@@ -43,8 +43,8 @@ var schemes = []Scheme{
 // profiled adapts a profile-driven constructor to Scheme.New. The explicit
 // nil keeps a failed build from returning a non-nil Detector that wraps a
 // nil pointer.
-func profiled[D Detector](build func(Profile, Config) (D, error)) func(Profile, Config, KSTestConfig, Throttler, ...KSTestOption) (Detector, error) {
-	return func(prof Profile, cfg Config, _ KSTestConfig, _ Throttler, _ ...KSTestOption) (Detector, error) {
+func profiled[D Detector](build func(Profile, Config) (D, error)) func(Profile, Config, KSTestConfig, ...KSTestOption) (Detector, error) {
+	return func(prof Profile, cfg Config, _ KSTestConfig, _ ...KSTestOption) (Detector, error) {
 		d, err := build(prof, cfg)
 		if err != nil {
 			return nil, err

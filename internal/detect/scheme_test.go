@@ -1,6 +1,11 @@
 package detect
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/memdos/sds/internal/attack"
+	"github.com/memdos/sds/internal/workload"
+)
 
 // TestSchemeRegistry pins the registry's contract: both spellings of every
 // scheme resolve to it, the built detector reports the registered name,
@@ -18,7 +23,7 @@ func TestSchemeRegistry(t *testing.T) {
 				t.Fatalf("LookupScheme(%q) = %s/%s, want %s/%s", name, got.Name, got.Alias, s.Name, s.Alias)
 			}
 		}
-		d, err := s.New(prof, DefaultConfig(), DefaultKSTestConfig(), nil)
+		d, err := s.New(prof, DefaultConfig(), DefaultKSTestConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -44,9 +49,45 @@ func TestSchemeConstructorErrors(t *testing.T) {
 	badKS := DefaultKSTestConfig()
 	badKS.Alpha = 2
 	for _, s := range Schemes() {
-		d, err := s.New(Profile{}, bad, badKS, nil)
+		d, err := s.New(Profile{}, bad, badKS)
 		if err == nil || d != nil {
 			t.Errorf("%s: New with invalid configs = (%v, %v), want (nil, error)", s.Name, d, err)
+		}
+	}
+}
+
+// TestCollecting pins the one quiesce signal every plane reads: it is true
+// only while a KStest collects its reference, and false for nil and for
+// every other registered scheme at every sample.
+func TestCollecting(t *testing.T) {
+	if Collecting(nil) {
+		t.Fatal("Collecting(nil) = true")
+	}
+	prof := steadyProfile(t, workload.FaceNet, 31)
+	// 40 s holds two KStest references (L_R = 30 s, W_R = 1 s).
+	samples := genSamples(t, workload.FaceNet, 32, 40, attack.Schedule{})
+	for _, s := range Schemes() {
+		d, err := s.New(prof, DefaultConfig(), DefaultKSTestConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		k, isKS := d.(*KSTest)
+		collecting := 0
+		for _, x := range samples {
+			d.Observe(x)
+			got := Collecting(d)
+			if isKS && got != k.Collecting() {
+				t.Fatalf("%s at t=%v: Collecting = %v, KSTest.Collecting = %v", s.Name, x.T, got, k.Collecting())
+			}
+			if got {
+				collecting++
+			}
+		}
+		switch {
+		case isKS && collecting == 0:
+			t.Errorf("%s: never collecting in %d samples", s.Name, len(samples))
+		case !isKS && collecting != 0:
+			t.Errorf("%s: collecting at %d samples, want none", s.Name, collecting)
 		}
 	}
 }

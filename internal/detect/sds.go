@@ -29,7 +29,8 @@ func NewSDS(prof Profile, cfg Config) (*SDS, error) {
 	}
 	d := &SDS{b: b}
 	if prof.Periodic {
-		p, err := NewSDSP(prof, cfg)
+		// NewSDSB validated cfg; SDS feeds SDS/P through ObserveMA only.
+		p, err := newSDSP(pipeline{}, prof, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("detect: SDS: %w", err)
 		}
@@ -45,7 +46,8 @@ func (d *SDS) Name() string { return "SDS" }
 func (d *SDS) Boundary() *SDSB { return d.b }
 
 // Periodic returns the embedded SDS/P detector, or nil for non-periodic
-// applications.
+// applications. SDS feeds it through ObserveMA; it has no averagers of its
+// own, so its Observe must not be called.
 func (d *SDS) Periodic() *SDSP { return d.p }
 
 // Observe implements Detector. SDS/B and SDS/P share the (W, ΔW)

@@ -23,7 +23,7 @@ type SDSP struct {
 	prof Profile
 
 	// SDS/P estimates periods on the moving averages M_n, so it uses only
-	// the pipeline's MA pair.
+	// the pipeline's MA pair, and an SDS member none of it (see newSDSP).
 	pipeline
 	bufA, bufM []float64 // rings of the latest W_P MA values
 	wp         int
@@ -81,6 +81,13 @@ func NewSDSP(prof Profile, cfg Config, opts ...SDSPOption) (*SDSP, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newSDSP(pipe, prof, cfg, opts...)
+}
+
+// newSDSP builds an SDS/P detector around pipe, whose MA pair only Observe
+// reads. SDS passes a zero pipeline: it feeds its member through ObserveMA
+// alone, so real averagers there would sit idle in every periodic VM.
+func newSDSP(pipe pipeline, prof Profile, cfg Config, opts ...SDSPOption) (*SDSP, error) {
 	if !prof.Periodic || prof.PeriodMA < 2 {
 		return nil, fmt.Errorf("detect: SDS/P requires a periodic profile, %q has none", prof.App)
 	}

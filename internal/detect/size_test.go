@@ -12,6 +12,10 @@ import (
 // counter alone would take 3.2 KB.
 const maxStateBytes = 1024
 
+// maxPeriodicSDSBytes bounds a periodic SDS (PeriodMA 12), whose SDS/P
+// member adds W_P-value rings and a period estimator to SDS/B's state.
+const maxPeriodicSDSBytes = 2200
+
 // constructorBytes reports the heap bytes one call of build allocates.
 func constructorBytes(t *testing.T, build func() error) int64 {
 	t.Helper()
@@ -28,9 +32,10 @@ func constructorBytes(t *testing.T, build func() error) int64 {
 
 // TestDetectorStateSize pins the per-VM state of every profile-driven
 // scheme on a non-periodic profile, and of the Stage-1 profiler, at
-// maxStateBytes: a fleet holds one of each per monitored VM. SDS/P is
-// left out because it refuses a non-periodic profile; KStest keeps raw
-// reference windows by design.
+// maxStateBytes, and a periodic SDS at maxPeriodicSDSBytes: a fleet holds
+// one of each per monitored VM. Standalone SDS/P is left out because it
+// refuses a non-periodic profile; KStest keeps raw reference windows by
+// design.
 func TestDetectorStateSize(t *testing.T) {
 	// testing.Benchmark runs each measurement for -test.benchtime, 1 s by
 	// default; a fixed count of 200 constructions is plenty for a pin.
@@ -48,7 +53,7 @@ func TestDetectorStateSize(t *testing.T) {
 			continue
 		}
 		n := constructorBytes(t, func() error {
-			_, err := s.New(prof, cfg, KSTestConfig{}, nil)
+			_, err := s.New(prof, cfg, KSTestConfig{})
 			return err
 		})
 		t.Logf("%s: %d B", s.Name, n)
@@ -56,7 +61,20 @@ func TestDetectorStateSize(t *testing.T) {
 			t.Errorf("%s allocates %d B at construction, want ≤ %d", s.Name, n, maxStateBytes)
 		}
 	}
+	// A periodic SDS holds an SDS/P member next to its SDS/B. SDS feeds the
+	// member window means only, so the member carries no averagers of its
+	// own; its rings and period estimator fit in the rest.
+	periodic := prof
+	periodic.App, periodic.Periodic, periodic.PeriodMA = "periodic", true, 12
 	n := constructorBytes(t, func() error {
+		_, err := NewSDS(periodic, cfg)
+		return err
+	})
+	t.Logf("SDS (periodic, PeriodMA 12): %d B", n)
+	if n > maxPeriodicSDSBytes {
+		t.Errorf("periodic SDS allocates %d B at construction, want ≤ %d", n, maxPeriodicSDSBytes)
+	}
+	n = constructorBytes(t, func() error {
 		_, err := NewProfiler("flat", cfg)
 		return err
 	})

@@ -6,10 +6,9 @@ import (
 	"github.com/memdos/sds/internal/pcm"
 )
 
-// TimeFrag default knobs (Config.FragWindow/FragFrac zero values resolve to
-// these: a 60-window evaluation span — 30 s at Table 1 geometry — and a
-// half-full density threshold, i.e. the same 30 suspicious windows as H_C
-// but without the consecutiveness demand).
+// TimeFrag knobs: a 60-window evaluation span — 30 s at Table 1 geometry —
+// and, when Config.FragFrac is zero, a half-full density threshold, i.e. the
+// same 30 suspicious windows as H_C but without the consecutiveness demand.
 const (
 	defaultFragWindow = 60
 	defaultFragFrac   = 0.5
@@ -18,9 +17,9 @@ const (
 // TimeFrag is a density-based windowed PMC detector in the style of Prada,
 // Restuccia and Palmieri (arXiv 1904.11268): instead of demanding H_C
 // *consecutive* boundary violations the way SDS/B does, it counts how many
-// of the last FragWindow moving-average windows were suspicious — EWMA value
+// of the last W_F = 60 moving-average windows were suspicious — EWMA value
 // outside the profiled normal range [μ_E−kσ_E, μ_E+kσ_E] on either counter —
-// and raises an alarm while that count is at or above ⌈FragFrac·FragWindow⌉.
+// and raises an alarm while that count is at or above ⌈FragFrac·W_F⌉.
 //
 // The point of the relaxation is time-fragmented attacks: an adversary that
 // duty-cycles its bus locking to stay below H_C consecutive violations
@@ -42,13 +41,12 @@ type TimeFrag struct {
 	pos     int
 	filled  int
 	count   int // suspicious windows currently inside the ring
-	need    int // alarm threshold ⌈FragFrac·FragWindow⌉
+	need    int // alarm threshold ⌈FragFrac·W_F⌉
 	windows int
 }
 
 var _ Detector = (*TimeFrag)(nil)
 var _ WindowObserver = (*TimeFrag)(nil)
-var _ AlarmCounter = (*TimeFrag)(nil)
 
 // NewTimeFrag returns a TimeFrag detector for an application with the given
 // Stage-1 profile.
@@ -60,10 +58,7 @@ func NewTimeFrag(prof Profile, cfg Config) (*TimeFrag, error) {
 	if prof.StdAccess < 0 || prof.StdMiss < 0 {
 		return nil, fmt.Errorf("detect: profile for %q has negative σ", prof.App)
 	}
-	window := cfg.FragWindow
-	if window == 0 {
-		window = defaultFragWindow
-	}
+	window := defaultFragWindow
 	frac := cfg.FragFrac
 	if frac == 0 {
 		frac = defaultFragFrac

@@ -221,7 +221,7 @@ func TestAlarmsNoAliasing(t *testing.T) {
 	for _, s := range Schemes() {
 		names = append(names, s.Name)
 		builds = append(builds, func(t *testing.T) (Detector, *[]Alarm) {
-			d, err := s.New(prof, cfg, DefaultKSTestConfig(), nil)
+			d, err := s.New(prof, cfg, DefaultKSTestConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

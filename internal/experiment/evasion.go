@@ -79,16 +79,6 @@ type EvasionCurve struct {
 	Cells []EvasionCell
 }
 
-// Cell returns the (strategy, kind) cell, ok reporting whether it exists.
-func (c EvasionCurve) Cell(strategy, kind string) (EvasionCell, bool) {
-	for _, cell := range c.Cells {
-		if cell.Strategy == strategy && cell.Kind == kind {
-			return cell, true
-		}
-	}
-	return EvasionCell{}, false
-}
-
 // evasionStrategy builds the named strategy tuned against the operating
 // configuration's detector geometry and the victim's Stage-1 profile: the
 // duty cycle ducks under the configuration's H_C streak at its MA window

@@ -120,53 +120,37 @@ func SchemesFor(app string) []Scheme {
 	return out
 }
 
-// ThrottleState adapts the KStest throttling callbacks to the telemetry
-// environment: while set, co-located VMs (attacker included) are paused.
-type ThrottleState struct{ paused bool }
-
-// PauseOthers implements detect.Throttler.
-func (f *ThrottleState) PauseOthers() { f.paused = true }
-
-// ResumeOthers implements detect.Throttler.
-func (f *ThrottleState) ResumeOthers() { f.paused = false }
-
-// Paused reports whether co-located VMs are currently throttled.
-func (f *ThrottleState) Paused() bool { return f.paused }
-
 // buildProfile runs Stage 1: an attack-free profiling pass for the app.
 func (c Config) buildProfile(app string, seed uint64) (detect.Profile, error) {
 	return cloudsim.Stage1Profile(app, seed, c.ProfileSeconds, c.Detect)
 }
 
-// newDetector constructs the scheme's detector from a Stage-1 profile. The
-// returned ThrottleState is never nil; only KStest ever sets it.
-func (c Config) newDetector(scheme Scheme, prof detect.Profile) (detect.Detector, *ThrottleState, error) {
+// newDetector constructs the scheme's detector from a Stage-1 profile.
+func (c Config) newDetector(scheme Scheme, prof detect.Profile) (detect.Detector, error) {
 	s, err := detect.LookupScheme(string(scheme))
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiment: %w", err)
+		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	flag := &ThrottleState{}
-	det, err := s.New(prof, c.Detect, c.KSTest, flag)
-	return det, flag, err
+	return s.New(prof, c.Detect, c.KSTest)
 }
 
 // BuildDetector runs Stage-1 profiling for the app and constructs the
-// scheme's detector. The returned ThrottleState is never nil; it stays
-// false for throttle-free schemes. This is the entry point interactive
-// tools use (cmd/sdsmon).
-func (c Config) BuildDetector(app string, scheme Scheme, seed uint64) (detect.Profile, detect.Detector, *ThrottleState, error) {
+// scheme's detector. A closed loop quiesces the co-located VMs while
+// detect.Collecting reports the detector collecting. This is the entry
+// point interactive tools use (cmd/sdsmon).
+func (c Config) BuildDetector(app string, scheme Scheme, seed uint64) (detect.Profile, detect.Detector, error) {
 	if err := c.Validate(); err != nil {
-		return detect.Profile{}, nil, nil, err
+		return detect.Profile{}, nil, err
 	}
 	prof, err := c.buildProfile(app, seed)
 	if err != nil {
-		return detect.Profile{}, nil, nil, fmt.Errorf("profile %s: %w", app, err)
+		return detect.Profile{}, nil, fmt.Errorf("profile %s: %w", app, err)
 	}
-	det, flag, err := c.newDetector(scheme, prof)
+	det, err := c.newDetector(scheme, prof)
 	if err != nil {
-		return detect.Profile{}, nil, nil, fmt.Errorf("build %s for %s: %w", scheme, app, err)
+		return detect.Profile{}, nil, fmt.Errorf("build %s for %s: %w", scheme, app, err)
 	}
-	return prof, det, flag, nil
+	return prof, det, nil
 }
 
 // DetectionRun executes one closed-loop evaluation run: StageSeconds
@@ -193,7 +177,7 @@ func (c Config) detectionRun(app string, kind attack.Kind, scheme Scheme, run in
 	if err != nil {
 		return metrics.Outcome{}, fmt.Errorf("profile %s: %w", app, err)
 	}
-	det, flag, err := c.newDetector(scheme, prof)
+	det, err := c.newDetector(scheme, prof)
 	if err != nil {
 		return metrics.Outcome{}, fmt.Errorf("build %s for %s: %w", scheme, app, err)
 	}
@@ -222,7 +206,7 @@ func (c Config) detectionRun(app string, kind attack.Kind, scheme Scheme, run in
 	states := make([]metrics.AlarmState, n)
 	for i := 0; i < n; i++ {
 		now := float64(i+1) * tpcm
-		a, m := model.Sample(tpcm, sched.Env(now, flag.paused))
+		a, m := model.Sample(tpcm, sched.Env(now, detect.Collecting(det)))
 		det.Observe(pcm.Sample{T: now, Access: a, Miss: m})
 		states[i] = metrics.AlarmState{T: now, Alarmed: det.Alarmed()}
 	}

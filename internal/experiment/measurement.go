@@ -57,9 +57,8 @@ func (c Config) KStestIntervals(app string, intervals int) ([]KStestIntervalResu
 	kcfg := c.KSTest
 	kcfg.ConfirmStreaks = 1
 	kcfg.FreezeBaselineOnSuspicion = false
-	flag := &ThrottleState{}
 	var checks []detect.CheckStat
-	det, err := detect.NewKSTest(kcfg, flag, detect.WithKSTestCheckHook(func(s detect.CheckStat) {
+	det, err := detect.NewKSTest(kcfg, detect.WithKSTestCheckHook(func(s detect.CheckStat) {
 		checks = append(checks, s)
 	}))
 	if err != nil {
@@ -71,7 +70,7 @@ func (c Config) KStestIntervals(app string, intervals int) ([]KStestIntervalResu
 	n := pcm.SampleCount(total, tpcm)
 	for i := 0; i < n; i++ {
 		now := float64(i+1) * tpcm
-		a, m := model.Sample(tpcm, workload.Env{Quiesced: flag.paused})
+		a, m := model.Sample(tpcm, workload.Env{Quiesced: det.Collecting()})
 		det.Observe(pcm.Sample{T: now, Access: a, Miss: m})
 	}
 

@@ -102,13 +102,12 @@ func (c Config) MigrationStudy(study MigrationStudyConfig, policy MigrationPolic
 	res := MigrationResult{Policy: policy, Scheme: scheme}
 
 	var det detect.Detector
-	flag := &ThrottleState{}
 	if policy == PolicyOnAlarm {
 		prof, err := c.buildProfile(study.App, seed)
 		if err != nil {
 			return MigrationResult{}, err
 		}
-		det, flag, err = c.newDetector(scheme, prof)
+		det, err = c.newDetector(scheme, prof)
 		if err != nil {
 			return MigrationResult{}, err
 		}
@@ -132,7 +131,7 @@ func (c Config) MigrationStudy(study MigrationStudyConfig, policy MigrationPolic
 	)
 	for i := 0; i < n; i++ {
 		now := float64(i+1) * tpcm
-		env := sched.Env(now, flag.paused)
+		env := sched.Env(now, detect.Collecting(det))
 		if now < pausedUntil {
 			// Mid-migration: the victim is being moved; the attacker
 			// cannot reach it, but the victim also does no useful work.
@@ -165,7 +164,7 @@ func (c Config) MigrationStudy(study MigrationStudyConfig, policy MigrationPolic
 				Start: now + relocate,
 				Ramp:  rng.Uniform(c.RampMin, c.RampMax),
 			}
-			det, flag, err = c.resetDetector(scheme, study.App, seed+uint64(res.Migrations))
+			det, err = c.resetDetector(scheme, study.App, seed+uint64(res.Migrations))
 			if err != nil {
 				return MigrationResult{}, err
 			}
@@ -179,10 +178,10 @@ func (c Config) MigrationStudy(study MigrationStudyConfig, policy MigrationPolic
 // resetDetector re-profiles and rebuilds the detector after a migration —
 // the paper's Stage 1 runs anew whenever a VM is migrated, since the new
 // host is attack-free at that moment.
-func (c Config) resetDetector(scheme Scheme, app string, seed uint64) (detect.Detector, *ThrottleState, error) {
+func (c Config) resetDetector(scheme Scheme, app string, seed uint64) (detect.Detector, error) {
 	prof, err := c.buildProfile(app, seed)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	return c.newDetector(scheme, prof)
 }

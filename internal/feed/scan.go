@@ -9,20 +9,19 @@ import (
 	"github.com/memdos/sds/internal/pcm"
 )
 
-// FrameScanner is the zero-copy sibling of BinReader: it decodes the same
-// binary frame grammar, but out of caller-managed byte windows instead of
-// an io.Reader. The sharded ingest plane reads a large block of bytes per
-// socket syscall and walks every complete frame in place — no bufio layer,
-// no per-frame scratch copy, no io.ReadFull. A partial trailing frame is
-// the caller's to carry into the next window (see Next's consumed result);
-// the scanner itself holds no buffered bytes, only the frame counter and
-// end-of-stream latch, so it is cheap enough to embed per connection.
+// FrameScanner decodes the binary frame grammar out of caller-managed byte
+// windows instead of an io.Reader. The sharded ingest plane reads a large
+// block of bytes per socket syscall and walks every complete frame in
+// place — no bufio layer, no per-frame scratch copy, no io.ReadFull. A
+// partial trailing frame is the caller's to carry into the next window
+// (see Next's consumed result); the scanner itself holds no buffered
+// bytes, only the frame counter and end-of-stream latch, so it is cheap
+// enough to embed per connection.
 //
-// Error semantics are identical to BinReader (framing loss is fatal,
-// non-finite samples are quarantined and compacted out), and the error
-// text matches byte for byte so the two decode paths report
-// indistinguishably — pinned by an equivalence test against BinReader over
-// randomized streams.
+// Framing loss is fatal, and non-finite samples are quarantined and
+// compacted out. Results and error text are pinned, byte for byte over
+// randomized streams, against a straightforward io.Reader-based reference
+// decoder kept with the package's tests.
 type FrameScanner struct {
 	frames int
 	ended  bool
@@ -30,9 +29,6 @@ type FrameScanner struct {
 
 // Frames returns the number of sample frames decoded so far.
 func (s *FrameScanner) Frames() int { return s.frames }
-
-// Ended reports whether an end frame has been consumed.
-func (s *FrameScanner) Ended() bool { return s.ended }
 
 // Next decodes the next frame from b into dst (capacity ≥ MaxFrameSamples).
 //
@@ -44,7 +40,7 @@ func (s *FrameScanner) Ended() bool { return s.ended }
 //	                            bytes appended.
 //	err == io.EOF             — an end frame was consumed (consumed == 1),
 //	                            or the stream had already ended.
-//	any other err             — framing lost; fatal, same text as BinReader.
+//	any other err             — framing lost; fatal.
 func (s *FrameScanner) Next(b []byte, dst []pcm.Sample) (consumed, n, quarantined int, err error) {
 	if s.ended {
 		return 0, 0, 0, io.EOF
@@ -103,10 +99,10 @@ func (s *FrameScanner) Next(b []byte, dst []pcm.Sample) (consumed, n, quarantine
 // exactly when all of them are set.
 const finiteMask = uint64(0x7ff) << 52
 
-// Truncated maps the bytes left over at EOF to BinReader's terminal error
-// for the same stream: nil for a clean frame boundary, otherwise the
-// truncated-header/payload (or framing) error the reader-based decoder
-// would have produced when the stream was cut mid-frame.
+// Truncated maps the bytes left over at EOF to the stream's terminal
+// error: nil for a clean frame boundary, otherwise the truncated-header/
+// payload (or framing) error of a stream cut mid-frame, the same text an
+// io.Reader-based decoder reports.
 func (s *FrameScanner) Truncated(pending []byte) error {
 	if s.ended || len(pending) == 0 {
 		return nil

@@ -63,9 +63,6 @@ func New(accessesPerSecond float64, maxLockFraction float64) (*Bus, error) {
 	return &Bus{perSecond: accessesPerSecond, maxLock: maxLockFraction}, nil
 }
 
-// Capacity returns the unlocked accesses-per-second capacity.
-func (b *Bus) Capacity() float64 { return b.perSecond }
-
 // Stats returns a copy of the cumulative allocator statistics.
 func (b *Bus) Stats() Stats { return b.stats }
 

@@ -132,6 +132,3 @@ func (r *Rand) Exp(mean float64) float64 {
 
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements via swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }

@@ -147,7 +147,7 @@ func NewSession(spec StreamSpec) (*Session, error) {
 		// this the detector would collect its first reference from the
 		// monitored tail — a stream attacked right after profiling would
 		// teach KStest an under-attack baseline and it would never alarm.
-		if s.det, err = scheme.New(detect.Profile{}, spec.Config, spec.KSConfig, nil, spec.KSOptions...); err != nil {
+		if s.det, err = scheme.New(detect.Profile{}, spec.Config, spec.KSConfig, spec.KSOptions...); err != nil {
 			return nil, err
 		}
 	}
@@ -235,7 +235,7 @@ func (s *Session) finishProfileLocked() error {
 		if err != nil {
 			return err
 		}
-		if s.det, err = scheme.New(prof, s.spec.Config, s.spec.KSConfig, nil, s.spec.KSOptions...); err != nil {
+		if s.det, err = scheme.New(prof, s.spec.Config, s.spec.KSConfig, s.spec.KSOptions...); err != nil {
 			return err
 		}
 	}

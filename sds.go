@@ -23,8 +23,6 @@ type (
 	KSTestConfig = detect.KSTestConfig
 	// Profile is the Stage-1 normal-behaviour profile of an application.
 	Profile = detect.Profile
-	// Throttler is the hypervisor hook the KStest baseline needs.
-	Throttler = detect.Throttler
 	// WindowStat is a preprocessed observation exposed to SDS/B hooks.
 	WindowStat = detect.WindowStat
 	// PeriodStat is one SDS/P period estimate exposed to hooks.
@@ -94,10 +92,12 @@ func NewSDSP(prof Profile, cfg Config, opts ...SDSPOption) (*SDSP, error) {
 	return detect.NewSDSP(prof, cfg, opts...)
 }
 
-// NewKSTest returns the baseline detector; throttler may be nil when
-// throttling is accounted for externally.
-func NewKSTest(cfg KSTestConfig, throttler Throttler, opts ...KSTestOption) (*KSTest, error) {
-	return detect.NewKSTest(cfg, throttler, opts...)
+// NewKSTest returns the baseline detector; nil options are skipped. The
+// detector throttles nothing itself: Simulate quiesces the attacker while
+// its Collecting method reports a reference collection, and a caller that
+// runs its own loop reads Collecting between samples to do the same.
+func NewKSTest(cfg KSTestConfig, opts ...KSTestOption) (*KSTest, error) {
+	return detect.NewKSTest(cfg, opts...)
 }
 
 // WithSDSBWindowHook traces the preprocessed EWMA series (paper Fig. 7).

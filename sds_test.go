@@ -75,7 +75,7 @@ func TestPublicAPIPeriodicFlow(t *testing.T) {
 
 func TestPublicAPIKSTestThrottleLoop(t *testing.T) {
 	cfg := DefaultConfig()
-	det, err := NewKSTest(DefaultKSTestConfig(), nil)
+	det, err := NewKSTest(DefaultKSTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

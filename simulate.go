@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/memdos/sds/internal/attack"
+	"github.com/memdos/sds/internal/detect"
 	"github.com/memdos/sds/internal/pcm"
 	"github.com/memdos/sds/internal/randx"
 	"github.com/memdos/sds/internal/workload"
@@ -108,15 +109,12 @@ type SimulateOptions struct {
 	OnSample func(s Sample, alarmed bool)
 }
 
-// throttleProbe lets Simulate honour a KStest detector's throttling: the
-// KSTest detector exposes Collecting, other detectors never throttle.
-type throttleProbe interface{ Collecting() bool }
-
 // Simulate runs a closed detection loop: the application's telemetry stream
 // — with the attack schedule applied — is fed to the detector sample by
-// sample. If the detector is a *KSTest, its reference-collection throttling
-// pauses the attacker, exactly as execution throttling does on a real
-// hypervisor. It returns all alarms the detector raised.
+// sample. While a *KSTest detector collects reference samples (its
+// Collecting method), the attacker is paused, exactly as execution
+// throttling does on a real hypervisor; other detectors never throttle. It
+// returns all alarms the detector raised.
 func Simulate(app *Application, det Detector, cfg Config, opts SimulateOptions) ([]Alarm, error) {
 	if app == nil || det == nil {
 		return nil, fmt.Errorf("sds: Simulate requires an application and a detector")
@@ -127,12 +125,10 @@ func Simulate(app *Application, det Detector, cfg Config, opts SimulateOptions) 
 	if opts.Seconds <= 0 {
 		return nil, fmt.Errorf("sds: simulation duration must be positive, got %v", opts.Seconds)
 	}
-	probe, _ := det.(throttleProbe)
 	n := SampleCount(opts.Seconds, cfg.TPCM)
 	for i := 0; i < n; i++ {
 		now := float64(i+1) * cfg.TPCM
-		quiesced := probe != nil && probe.Collecting()
-		a, m := app.Sample(cfg.TPCM, opts.Attack.Env(now, quiesced))
+		a, m := app.Sample(cfg.TPCM, opts.Attack.Env(now, detect.Collecting(det)))
 		s := pcm.Sample{T: now, Access: a, Miss: m}
 		det.Observe(s)
 		if opts.OnSample != nil {
